@@ -307,7 +307,7 @@ fn main() {
         println!();
 
         println!("=======================================================================");
-        println!("Ablation F: heap-census accumulator cost (GC time, Infrastructure)");
+        println!("Ablation F: heap-census cost (total run time, Infrastructure)");
         println!("=======================================================================");
         let rows = ablation_census(args.reps, args.scale, 6);
         println!(
@@ -318,8 +318,8 @@ fn main() {
             println!(
                 "{:<12} {:>12.2} {:>12.2} {:>8.2}%",
                 r.name,
-                r.gc_off.as_secs_f64() * 1e3,
-                r.gc_on.as_secs_f64() * 1e3,
+                r.total_off.as_secs_f64() * 1e3,
+                r.total_on.as_secs_f64() * 1e3,
                 r.overhead()
             );
         }

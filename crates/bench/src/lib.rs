@@ -12,8 +12,8 @@
 //!   `_209_db` and pseudojbb (Figures 4 and 5);
 //! * [`ablation_path_tracking`] — cost of the path-tracking worklist
 //!   alone (ours);
-//! * [`ablation_census`] — mark-time cost of the heap census
-//!   accumulators, on vs off (ours);
+//! * [`ablation_census`] — cost of the post-cycle heap census, on vs
+//!   off (ours);
 //! * [`census_jsonl`] — the telemetry export with per-class/per-site
 //!   census fields on every cycle record (ours);
 //! * [`baseline_eager`] — eager (JML-style) invariant checking vs GC
@@ -404,28 +404,30 @@ pub fn ablation_path_tracking(reps: usize, scale: f64, take: usize) -> Vec<PathA
 }
 
 /// One row of the census ablation: Infrastructure with and without the
-/// heap census accumulators.
+/// heap census.
 #[derive(Debug, Clone)]
 pub struct CensusAblationRow {
     /// Benchmark name.
     pub name: String,
-    /// GC time with the census off (the default).
-    pub gc_off: Duration,
-    /// GC time with the census accumulating per-class/per-site tallies.
-    pub gc_on: Duration,
+    /// Total run time with the census off (the default).
+    pub total_off: Duration,
+    /// Total run time with the census tallying per-class/per-site live
+    /// histograms after every collection.
+    pub total_on: Duration,
 }
 
 impl CensusAblationRow {
-    /// Census GC-time overhead in percent.
+    /// Census overhead on total run time, in percent.
     pub fn overhead(&self) -> f64 {
-        overhead_percent(self.gc_off, self.gc_on)
+        overhead_percent(self.total_off, self.total_on)
     }
 }
 
-/// Ablation F: isolates the mark-time cost of the heap census by running
-/// the infrastructure configuration with the census on vs off
-/// (interleaved medians of `reps` runs over the first `take` suite
-/// benchmarks).
+/// Ablation F: isolates the cost of the heap census by running the
+/// infrastructure configuration with the census on vs off (interleaved
+/// medians of `reps` runs over the first `take` suite benchmarks). The
+/// census walks the live heap after each cycle, outside the collector's
+/// timed phases, so the comparison is of total run time.
 pub fn ablation_census(reps: usize, scale: f64, take: usize) -> Vec<CensusAblationRow> {
     let mut rows = Vec::new();
     for w in suite::full_suite().into_iter().take(take) {
@@ -444,20 +446,20 @@ pub fn ablation_census(reps: usize, scale: f64, take: usize) -> Vec<CensusAblati
                     base_cfg.clone().census(false),
                 )
                 .expect("runs")
-                .gc,
+                .total,
             );
             on.push(
                 run_once_config(&w, ExpConfig::Infrastructure, base_cfg.clone().census(true))
                     .expect("runs")
-                    .gc,
+                    .total,
             );
         }
         off.sort();
         on.sort();
         rows.push(CensusAblationRow {
             name: w.name().to_owned(),
-            gc_off: off[off.len() / 2],
-            gc_on: on[on.len() / 2],
+            total_off: off[off.len() / 2],
+            total_on: on[on.len() / 2],
         });
     }
     rows

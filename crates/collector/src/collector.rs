@@ -2,19 +2,22 @@
 
 use std::time::Instant;
 
-use gca_heap::{Flags, Heap, HeapError, ObjRef};
+use gca_heap::{Flags, Heap, HeapError, ObjRef, SpaceKind};
 
-use crate::census::CensusSink;
 use crate::hooks::TraceHooks;
 use crate::stats::{CycleStats, GcStats};
-use crate::tracer::Tracer;
+use crate::tracer::{Provenance, Tracer};
 
-/// A full-heap mark-sweep collector.
+/// A full-heap tracing collector: mark-sweep on a paged heap, semispace
+/// copying on a semispace heap.
 ///
 /// The paper uses Jikes RVM's MarkSweep plan because it is a *full-heap*
 /// collector that checks every assertion at every collection (§2.2); this
-/// is the Rust analogue. The collector owns a reusable [`Tracer`] and
-/// cumulative [`GcStats`].
+/// is the Rust analogue. The cycle is written once: only the mark step
+/// depends on the heap's [`SpaceKind`] — the depth-first [`Tracer`] on
+/// [`SpaceKind::Paged`], a Cheney evacuation on [`SpaceKind::Semispace`]
+/// (see the `copying` module). The collector owns a reusable [`Tracer`],
+/// the Cheney scan's [`Provenance`] table and cumulative [`GcStats`].
 ///
 /// # Example
 ///
@@ -39,6 +42,9 @@ use crate::tracer::Tracer;
 #[derive(Debug, Default)]
 pub struct Collector {
     tracer: Tracer,
+    /// First-arrival edges of the Cheney scan, for path reconstruction on
+    /// semispace heaps.
+    prov: Provenance,
     stats: GcStats,
 }
 
@@ -66,6 +72,31 @@ impl Collector {
     /// global variables. Unreachable objects are freed; survivors have
     /// their per-GC flags ([`Flags::PER_GC`]) cleared for the next cycle.
     ///
+    /// On a semispace heap the mark step evacuates every survivor to the
+    /// to-space in breadth-first order and the spaces flip after the
+    /// sweep. The hook schedule is the same call for call; only the
+    /// traversal order differs. Handles are relocation-stable:
+    ///
+    /// ```
+    /// use gca_collector::{Collector, NoHooks};
+    /// use gca_heap::{Heap, SpaceKind};
+    ///
+    /// # fn main() -> Result<(), gca_heap::HeapError> {
+    /// let mut heap = Heap::with_space(SpaceKind::Semispace);
+    /// let c = heap.register_class("Node", &["next"]);
+    /// let a = heap.alloc(c, 1, 0)?;
+    /// let b = heap.alloc(c, 1, 0)?;
+    /// let dead = heap.alloc(c, 1, 0)?;
+    /// heap.set_ref_field(a, 0, b)?;
+    ///
+    /// let cycle = Collector::new().collect(&mut heap, &[a], &mut NoHooks)?;
+    /// assert_eq!(cycle.objects_swept, 1); // only `dead` was unreachable
+    /// assert!(heap.is_valid(b));
+    /// assert_eq!(heap.space().flips(), 1);
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
     /// # Errors
     ///
     /// Propagates reference-validity errors from tracing, which indicate a
@@ -79,7 +110,8 @@ impl Collector {
         let cycle_start = Instant::now();
         hooks.gc_begin(heap);
 
-        self.tracer.set_path_mode(hooks.wants_paths());
+        let path_mode = hooks.wants_paths();
+        self.tracer.set_path_mode(path_mode);
         self.tracer.begin_cycle();
 
         let t = Instant::now();
@@ -87,35 +119,58 @@ impl Collector {
         let pre_root = t.elapsed();
         let pre_root_edges = self.tracer.edges_traced();
 
+        let copying = heap.space_kind() == SpaceKind::Semispace;
         let t = Instant::now();
-        for &r in roots {
-            self.tracer.push_root(r);
-        }
-        self.tracer.drain(heap, hooks)?;
+        let (scan_marked, scan_edges) = if copying {
+            let prov = path_mode.then_some(&mut self.prov);
+            crate::copying::evacuate(heap, roots, hooks, prov)?
+        } else {
+            for &r in roots {
+                self.tracer.push_root(r);
+            }
+            self.tracer.drain(heap, hooks)?;
+            (0, 0)
+        };
         let mark = t.elapsed();
 
         hooks.trace_done(heap);
 
-        // Invariant module (debug builds and the `mcheck` profile): the
+        // Invariant modules (debug builds and the `mcheck` profile): the
         // transitive mark is complete, so no black-to-white edge may
-        // exist — the sweep is about to free everything unmarked.
+        // exist — the sweep is about to free everything unmarked. On a
+        // semispace heap the evacuation is still open, so every survivor
+        // and only the survivors must have a forwarding address.
         #[cfg(debug_assertions)]
         {
             let problems = crate::invariants::tricolor_violations(heap);
             assert!(problems.is_empty(), "tri-color at trace_done: {problems:?}");
+            if copying {
+                let problems = crate::invariants::forwarding_totality_violations(heap);
+                assert!(
+                    problems.is_empty(),
+                    "forwarding totality at trace_done: {problems:?}"
+                );
+            }
         }
 
+        // On a semispace heap the unmarked objects are the ones never
+        // evacuated; freeing their slots models their abandonment in
+        // from-space, so reclamation is the same sweep either way.
         let t = Instant::now();
         let (objects_swept, words_swept) = sweep_heap(heap, hooks)?;
         let sweep_time = t.elapsed();
+
+        if copying {
+            crate::copying::flip(heap);
+        }
 
         let cycle = CycleStats {
             total: cycle_start.elapsed(),
             pre_root,
             mark,
             sweep: sweep_time,
-            objects_marked: self.tracer.objects_marked(),
-            edges_traced: self.tracer.edges_traced(),
+            objects_marked: self.tracer.objects_marked() + scan_marked,
+            edges_traced: self.tracer.edges_traced() + scan_edges,
             pre_root_edges,
             objects_swept,
             words_swept,
@@ -123,40 +178,6 @@ impl Collector {
         hooks.gc_end(heap, &cycle);
         self.stats.absorb(&cycle);
         Ok(cycle)
-    }
-
-    /// Runs one full collection cycle like [`Collector::collect`], with a
-    /// heap census riding along: `sink` is installed in the tracer for the
-    /// duration of the cycle, so every marked object — including objects
-    /// marked by hooks-driven pre-root drains — is tallied. Returns the
-    /// cycle statistics together with the filled sink.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Collector::collect`]. The sink is taken back out of the
-    /// tracer even on error, so a failed cycle never leaks census state
-    /// into the next one.
-    ///
-    /// In debug builds the returned sink is cross-checked against a fresh
-    /// walk of the post-sweep heap ([`CensusSink::verify_live_totals`]),
-    /// unless the cycle began with stale mark bits, in which case an
-    /// undercount is legitimate.
-    pub fn collect_census<H: TraceHooks>(
-        &mut self,
-        heap: &mut Heap,
-        roots: &[ObjRef],
-        hooks: &mut H,
-        sink: CensusSink,
-    ) -> Result<(CycleStats, CensusSink), HeapError> {
-        let cross_check = cfg!(debug_assertions) && !crate::census::heap_has_stale_marks(heap);
-        self.tracer.set_census(sink);
-        let result = self.collect(heap, roots, hooks);
-        let sink = self.tracer.take_census().unwrap_or_default();
-        let stats = result?;
-        if cross_check {
-            sink.verify_live_totals(heap);
-        }
-        Ok((stats, sink))
     }
 
     /// Folds an externally-orchestrated cycle (e.g. a parallel-mark cycle
@@ -386,46 +407,6 @@ mod tests {
         assert_eq!(counter.ended, 1);
         assert_eq!(counter.traced, 1);
         assert_eq!(cycle.edges_traced, 4);
-    }
-
-    #[test]
-    fn census_cycle_tallies_live_objects_and_slots_resolve() {
-        let mut heap = Heap::new();
-        let c = heap.register_class("T", &["f"]);
-        let root = heap.alloc(c, 1, 0).unwrap();
-        let kept = heap.alloc(c, 1, 0).unwrap();
-        let _dead = heap.alloc(c, 1, 0).unwrap();
-        heap.set_ref_field(root, 0, kept).unwrap();
-        let mut gc = Collector::new();
-        let (cycle, sink) = gc
-            .collect_census(&mut heap, &[root], &mut NoHooks, CensusSink::new())
-            .unwrap();
-        assert_eq!(cycle.objects_marked, 2);
-        assert_eq!(sink.total_objects(), 2);
-        // Every censused slot survived the sweep and still resolves.
-        for &slot in sink.marked_slots() {
-            assert!(heap.object_at(slot).is_some());
-        }
-        // The sink was taken back out: a plain collect is unaffected.
-        let cycle2 = gc.collect(&mut heap, &[root], &mut NoHooks).unwrap();
-        assert_eq!(cycle2.objects_marked, 2);
-    }
-
-    #[test]
-    fn census_counts_pre_root_phase_marks() {
-        // `child` is marked only by the hooks' pre-root drain; the census
-        // must still see it (the sink lives in the tracer, not the hooks).
-        let mut heap = Heap::new();
-        let c = heap.register_class("T", &["f"]);
-        let unrooted = heap.alloc(c, 1, 0).unwrap();
-        let child = heap.alloc(c, 1, 0).unwrap();
-        heap.set_ref_field(unrooted, 0, child).unwrap();
-        let mut gc = Collector::new();
-        let mut hooks = Premarker { target: unrooted };
-        let (_, sink) = gc
-            .collect_census(&mut heap, &[], &mut hooks, CensusSink::new())
-            .unwrap();
-        assert_eq!(sink.total_objects(), 1);
     }
 
     #[test]

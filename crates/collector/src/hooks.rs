@@ -29,8 +29,9 @@ pub enum Visit {
 /// 1. [`TraceHooks::gc_begin`]
 /// 2. [`TraceHooks::pre_root_phase`] — may drive the [`Tracer`] itself
 ///    (ownership phase)
-/// 3. root scan + transitive marking, calling [`TraceHooks::visit_new`] on
-///    each first visit and [`TraceHooks::visit_marked`] on each re-visit
+/// 3. root scan + transitive marking (an evacuation on a semispace heap),
+///    calling [`TraceHooks::visit_new`] on each first visit and
+///    [`TraceHooks::visit_marked`] on each re-visit
 /// 4. [`TraceHooks::trace_done`]
 /// 5. sweep, calling [`TraceHooks::swept`] for each reclaimed object
 /// 6. [`TraceHooks::gc_end`]

@@ -1,12 +1,15 @@
-//! # gca-collector — mark-sweep collector with trace hooks
+//! # gca-collector — full-heap collector with trace hooks
 //!
-//! The tracing mark-sweep collector for the GC-assertions reproduction
-//! (Aftandilian & Guyer, PLDI 2009). The paper implements its assertions by
+//! The tracing collector for the GC-assertions reproduction (Aftandilian
+//! & Guyer, PLDI 2009). The paper implements its assertions by
 //! *piggybacking on the normal GC tracing process*; this crate provides the
 //! piggyback points:
 //!
-//! * [`Collector::collect`] runs a full mark-sweep cycle over a
-//!   [`gca_heap::Heap`], generic over a [`TraceHooks`] implementation.
+//! * [`Collector::collect`] runs one full collection cycle over a
+//!   [`gca_heap::Heap`], generic over a [`TraceHooks`] implementation. The
+//!   cycle is written once; its mark step follows the heap's space: a
+//!   depth-first mark on the paged heap (mark-sweep), a Cheney evacuation
+//!   on the semispace heap (copying), with the same hook schedule.
 //! * [`NoHooks`] compiles every hook away — this is the paper's **Base**
 //!   configuration (an unmodified collector).
 //! * A hooks object that returns `true` from [`TraceHooks::wants_paths`]
@@ -53,7 +56,6 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod census;
 mod collector;
 mod copying;
 mod deque;
@@ -67,9 +69,7 @@ pub mod sabotage;
 mod stats;
 mod tracer;
 
-pub use census::{heap_has_stale_marks, CensusSink};
 pub use collector::{sweep_heap, Collector};
-pub use copying::CopyingCollector;
 pub use deque::StealDeque;
 pub use hooks::{NoHooks, TraceHooks, Visit};
 pub use invariants::{forwarding_totality_violations, tricolor_violations};

@@ -3,7 +3,6 @@
 
 use gca_heap::{Flags, Heap, HeapError, ObjRef};
 
-use crate::census::CensusSink;
 use crate::hooks::{TraceHooks, Visit};
 use crate::path::{HeapPath, PathStep};
 
@@ -38,7 +37,6 @@ pub struct Tracer {
     path_mode: bool,
     objects_marked: u64,
     edges_traced: u64,
-    census: Option<CensusSink>,
 }
 
 impl Tracer {
@@ -58,27 +56,10 @@ impl Tracer {
     }
 
     /// Resets per-cycle counters and drops any leftover worklist entries.
-    ///
-    /// An installed census sink is deliberately left untouched: the caller
-    /// installs it just before a cycle (see
-    /// [`crate::Collector::collect_census`]) and must see everything marked
-    /// during that cycle, including objects marked by hooks-driven pre-root
-    /// drains that happen after `begin_cycle`.
     pub fn begin_cycle(&mut self) {
         self.entries.clear();
         self.objects_marked = 0;
         self.edges_traced = 0;
-    }
-
-    /// Installs a census sink; every object marked by subsequent
-    /// [`Tracer::drain`] calls is tallied into it until it is taken back.
-    pub fn set_census(&mut self, sink: CensusSink) {
-        self.census = Some(sink);
-    }
-
-    /// Removes and returns the installed census sink, if any.
-    pub fn take_census(&mut self) -> Option<CensusSink> {
-        self.census.take()
     }
 
     /// Objects marked so far this cycle.
@@ -159,9 +140,6 @@ impl Tracer {
             }
             heap.set_flag(r, Flags::MARK)?;
             self.objects_marked += 1;
-            if let Some(census) = self.census.as_mut() {
-                census.observe(heap, r);
-            }
             let action = {
                 let ctx = TraceCtx {
                     entries: &self.entries,

@@ -1,24 +1,23 @@
 //! VM-side census state: allocation-site tagging and post-cycle
 //! attribution.
 //!
-//! The collector's [`CensusSink`] tallies classes and slots at mark time
-//! but deliberately knows no names. This module holds the other half:
+//! The collector knows nothing of the census; the VM takes it after each
+//! cycle, from the live heap. This module holds:
 //!
 //! * **Allocation sites** — an interned string table of site labels plus a
 //!   slot-indexed side table recording which site allocated each heap
 //!   slot. Tagging is a single `Vec` store on [`crate::Vm::alloc`]'s path
 //!   (and nothing at all when the census is off).
-//! * **Attribution** — after a cycle completes, [`CensusState::build_data`]
-//!   resolves the sink's class ids against the type registry and its
-//!   marked slots against the site table. This is sound because every
-//!   marked object survives the sweep, so its slot still resolves.
+//! * **Attribution** — after a major cycle's sweep,
+//!   [`CensusState::build_data`] walks the live heap once, tallying each
+//!   object under its class and its allocation site. [`CensusState::build_minor_data`] runs the same
+//!   tally over a minor cycle's nursery survivors.
 //! * **The recorder** — a [`HeapCensus`] fed one [`CensusData`] per cycle,
 //!   which maintains the drift windows and serves `Vm::census()`.
 
 use std::collections::HashMap;
 
-use gca_collector::CensusSink;
-use gca_heap::{Heap, ObjRef};
+use gca_heap::{ClassId, Heap, ObjRef, Object};
 use gca_telemetry::{CensusData, CensusEntry, HeapCensus};
 
 /// Heap words are u64s.
@@ -49,7 +48,7 @@ pub(crate) struct CensusState {
     /// Slot-indexed: which site allocated the object currently in each
     /// heap slot. Stale entries for freed slots are overwritten by the
     /// next allocation in that slot and never read meanwhile (attribution
-    /// only looks up slots of marked — live — objects).
+    /// only looks up slots of live objects).
     site_of: Vec<u32>,
     /// The rolling recorder behind `Vm::census()`.
     pub(crate) recorder: HeapCensus,
@@ -103,43 +102,19 @@ impl CensusState {
         &self.site_names[id as usize]
     }
 
-    /// Resolves a mark-time sink into named, normalized census data.
-    /// Must run after the cycle and before any further mutation frees
-    /// marked objects (the VM calls it straight after the sweep).
-    pub(crate) fn build_data(&self, heap: &Heap, sink: &CensusSink) -> CensusData {
-        let classes = sink
-            .classes()
-            .map(|(class, objects, words)| CensusEntry {
-                name: heap.registry().name(class).to_owned(),
-                objects,
-                bytes: words * WORD_BYTES,
-            })
-            .collect();
-
-        let mut per_site: HashMap<u32, (u64, u64)> = HashMap::new();
-        for &slot in sink.marked_slots() {
-            if let Some((_, o)) = heap.object_at(slot) {
-                let site = self
-                    .site_of
-                    .get(slot as usize)
-                    .copied()
-                    .unwrap_or(UNATTRIBUTED);
-                let tally = per_site.entry(site).or_insert((0, 0));
-                tally.0 += 1;
-                tally.1 += o.size_words() as u64 * WORD_BYTES;
-            }
-        }
-        let sites = per_site
-            .into_iter()
-            .map(|(site, (objects, bytes))| CensusEntry {
-                name: self.site_name(site).to_owned(),
-                objects,
-                bytes,
-            })
-            .collect();
-
-        let mut data = CensusData { classes, sites };
-        data.normalize();
+    /// Builds major-cycle census data from the live heap. The VM calls it
+    /// straight after the cycle's sweep, so it tallies every survivor.
+    ///
+    /// In debug builds the walk also checks the heap's occupancy
+    /// accounting: the live objects' words must add up to
+    /// [`Heap::occupied_words`].
+    pub(crate) fn build_data(&self, heap: &Heap) -> CensusData {
+        let data = self.tally(heap, heap.iter());
+        debug_assert_eq!(
+            data.total_bytes() / WORD_BYTES,
+            heap.occupied_words() as u64,
+            "heap occupancy accounting drifted from the live population"
+        );
         data
     }
 
@@ -149,19 +124,29 @@ impl CensusState {
     /// objects are invisible to a minor trace) and is kept out of the
     /// drift windows for that reason.
     pub(crate) fn build_minor_data(&self, heap: &Heap, young: &[ObjRef]) -> CensusData {
-        let mut per_class: HashMap<String, (u64, u64)> = HashMap::new();
+        let survivors = young
+            .iter()
+            .filter_map(|&y| heap.get(y).ok().map(|o| (y, o)));
+        self.tally(heap, survivors)
+    }
+
+    /// Tallies `objects` by class and by allocation site into named,
+    /// normalized census data.
+    fn tally<'h>(
+        &self,
+        heap: &Heap,
+        objects: impl Iterator<Item = (ObjRef, &'h Object)>,
+    ) -> CensusData {
+        let mut per_class: HashMap<ClassId, (u64, u64)> = HashMap::new();
         let mut per_site: HashMap<u32, (u64, u64)> = HashMap::new();
-        for &y in young {
-            let Ok(o) = heap.get(y) else { continue };
+        for (r, o) in objects {
             let bytes = o.size_words() as u64 * WORD_BYTES;
-            let class = per_class
-                .entry(heap.registry().name(o.class()).to_owned())
-                .or_insert((0, 0));
+            let class = per_class.entry(o.class()).or_insert((0, 0));
             class.0 += 1;
             class.1 += bytes;
             let site_id = self
                 .site_of
-                .get(y.index() as usize)
+                .get(r.index() as usize)
                 .copied()
                 .unwrap_or(UNATTRIBUTED);
             let site = per_site.entry(site_id).or_insert((0, 0));
@@ -169,26 +154,27 @@ impl CensusState {
             site.1 += bytes;
         }
         let mut data = CensusData {
-            classes: per_class
-                .into_iter()
-                .map(|(name, (objects, bytes))| CensusEntry {
-                    name,
-                    objects,
-                    bytes,
-                })
-                .collect(),
-            sites: per_site
-                .into_iter()
-                .map(|(site, (objects, bytes))| CensusEntry {
-                    name: self.site_name(site).to_owned(),
-                    objects,
-                    bytes,
-                })
-                .collect(),
+            classes: entries(per_class, |c| heap.registry().name(c)),
+            sites: entries(per_site, |s| self.site_name(s)),
         };
         data.normalize();
         data
     }
+}
+
+/// Names each `(objects, bytes)` tally.
+fn entries<'n, K>(
+    tallies: HashMap<K, (u64, u64)>,
+    name: impl Fn(K) -> &'n str,
+) -> Vec<CensusEntry> {
+    tallies
+        .into_iter()
+        .map(|(key, (objects, bytes))| CensusEntry {
+            name: name(key).to_owned(),
+            objects,
+            bytes,
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -239,10 +225,7 @@ mod tests {
         let b = heap.alloc(node, 1, 0).unwrap();
         s.note_alloc(b.index());
 
-        let mut sink = CensusSink::new();
-        sink.observe(&heap, a);
-        sink.observe(&heap, b);
-        let data = s.build_data(&heap, &sink);
+        let data = s.build_data(&heap);
         assert_eq!(data.classes.len(), 1);
         assert_eq!(data.classes[0].name, "Node");
         assert_eq!(data.classes[0].objects, 2);
@@ -250,5 +233,21 @@ mod tests {
         let names: Vec<&str> = data.sites.iter().map(|e| e.name.as_str()).collect();
         assert_eq!(names, vec!["<unattributed>", "test::mk"]); // normalized
         assert!(data.sites.iter().all(|e| e.objects == 1 && e.bytes == 24));
+    }
+
+    #[test]
+    fn invalid_refs_are_ignored() {
+        // A minor's young list still names the nursery objects its sweep
+        // freed; only the survivors may be tallied.
+        let mut heap = Heap::new();
+        let node = heap.register_class("Node", &[]);
+        let s = CensusState::new();
+        let kept = heap.alloc(node, 0, 0).unwrap();
+        let freed = heap.alloc(node, 0, 0).unwrap();
+        heap.free(freed).unwrap();
+        let data = s.build_minor_data(&heap, &[kept, freed, ObjRef::NULL]);
+        assert_eq!(data.total_objects(), 1);
+        assert_eq!(data.sites.len(), 1);
+        assert_eq!(data.sites[0].objects, 1);
     }
 }

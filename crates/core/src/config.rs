@@ -159,10 +159,11 @@ pub struct VmConfig {
     /// collector's hot paths untouched.
     pub telemetry: bool,
     /// Record a heap census: per-class and per-allocation-site live
-    /// object/byte histograms accumulated during each mark, with a
-    /// rolling-window drift detector over major cycles, exposed via
-    /// `Vm::census()`. Off by default — the census observes marking but
-    /// never changes which objects are marked, swept, or reported, so
+    /// object/byte histograms taken from the live heap after each
+    /// collection, with a rolling-window drift detector over major
+    /// cycles, exposed via `Vm::census()`. Off by default — the census
+    /// observes the heap but never changes which objects are marked,
+    /// swept, or reported, so
     /// census-on runs are bit-identical to census-off runs in everything
     /// except the census itself.
     pub census: bool,
@@ -329,14 +330,38 @@ impl VmConfig {
     }
 
     /// The resolved tracing-worker count: `gc_threads`, with `0` mapped to
-    /// the number of available cores.
+    /// the number of available cores. Always 1 on the copying collector,
+    /// whose Cheney scan is sequential.
     pub fn effective_gc_threads(&self) -> usize {
         match self.gc_threads {
+            _ if self.collector == CollectorKind::Copying => 1,
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             n => n,
         }
+    }
+
+    /// Checks the combination rules of the collector settings: the copying
+    /// collector is full-heap, so it cannot be generational, and its
+    /// Cheney scan is sequential, so `gc_threads` must be 0 or 1. The
+    /// builder, [`crate::Vm::new`] and the script interpreter all apply
+    /// these rules through this one function.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first rule the configuration breaks.
+    pub fn validate(&self) -> Result<(), &'static str> {
+        if self.collector == CollectorKind::Copying {
+            if self.generational.is_some() {
+                return Err("the copying collector is full-heap; it cannot be generational");
+            }
+            if self.gc_threads > 1 {
+                return Err("the copying collector's Cheney scan is sequential \
+                            (gc_threads must be 0 or 1)");
+            }
+        }
+        Ok(())
     }
 
     /// Starts a fluent [`VmConfigBuilder`], the preferred way to assemble
@@ -473,24 +498,15 @@ impl VmConfigBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if the heap budget is zero, or if the copying collector is
-    /// combined with generational collection (copying is full-heap) or
-    /// with `gc_threads > 1` (the Cheney scan is sequential).
+    /// Panics if the heap budget is zero, or if the configuration fails
+    /// [`VmConfig::validate`].
     pub fn build(self) -> VmConfig {
         assert!(
             self.config.heap_budget > 0,
             "VmConfig: heap budget must be non-zero"
         );
-        if self.config.collector == CollectorKind::Copying {
-            assert!(
-                self.config.generational.is_none(),
-                "VmConfig: the copying collector is full-heap; it cannot be generational"
-            );
-            assert!(
-                self.config.gc_threads <= 1,
-                "VmConfig: the copying collector's Cheney scan is sequential \
-                 (gc_threads must be 0 or 1)"
-            );
+        if let Err(msg) = self.config.validate() {
+            panic!("VmConfig: {msg}");
         }
         self.config
     }
@@ -612,5 +628,22 @@ mod tests {
         let c = VmConfig::builder().gc_threads(0).build();
         assert!(c.effective_gc_threads() >= 1);
         assert_eq!(VmConfig::new().effective_gc_threads(), 1);
+        let copying = c.collector(CollectorKind::Copying);
+        assert_eq!(
+            copying.effective_gc_threads(),
+            1,
+            "the Cheney scan is sequential"
+        );
+    }
+
+    #[test]
+    fn validate_names_the_broken_copying_rule() {
+        assert_eq!(VmConfig::new().validate(), Ok(()));
+        let copying = VmConfig::new().collector(CollectorKind::Copying);
+        assert_eq!(copying.clone().gc_threads(0).validate(), Ok(()));
+        let err = copying.clone().generational(2).validate().unwrap_err();
+        assert!(err.contains("full-heap"), "{err}");
+        let err = copying.gc_threads(2).validate().unwrap_err();
+        assert!(err.contains("sequential"), "{err}");
     }
 }

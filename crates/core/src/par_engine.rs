@@ -40,9 +40,8 @@ use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use gca_collector::{
-    heap_has_stale_marks, mark_parallel, push_child_items, reconstruct_path, sweep_heap,
-    CensusSink, CycleStats, HeapPath, NoHooks, NoParVisitor, ParVisitor, TraceHooks, Visit,
-    WorkItem, CTX_NONE,
+    mark_parallel, push_child_items, reconstruct_path, sweep_heap, CycleStats, HeapPath, NoHooks,
+    NoParVisitor, ParVisitor, TraceHooks, Visit, WorkItem, CTX_NONE,
 };
 use gca_heap::{ClassId, Flags, Heap, HeapError, ObjRef};
 
@@ -121,18 +120,10 @@ struct ShardVisitor<'a> {
     deferred: Vec<(ObjRef, usize)>,
     dead_edges: Vec<(ObjRef, usize)>,
     candidates: Vec<Candidate>,
-    /// Heap-census shard, merged like the instance counters (summation
-    /// commutes, so the merged totals are interleaving-independent).
-    census: Option<CensusSink>,
 }
 
 impl<'a> ShardVisitor<'a> {
-    fn new(
-        ownership: &'a OwnershipTable,
-        mode: ScanMode,
-        record_dead_edges: bool,
-        census: bool,
-    ) -> Self {
+    fn new(ownership: &'a OwnershipTable, mode: ScanMode, record_dead_edges: bool) -> Self {
         ShardVisitor {
             ownership,
             mode,
@@ -142,7 +133,6 @@ impl<'a> ShardVisitor<'a> {
             deferred: Vec::new(),
             dead_edges: Vec::new(),
             candidates: Vec::new(),
-            census: census.then(CensusSink::new),
         }
     }
 
@@ -176,12 +166,6 @@ impl<'a> ShardVisitor<'a> {
 
 impl ParVisitor for ShardVisitor<'_> {
     fn visit_new(&mut self, heap: &Heap, obj: ObjRef, prev: Flags, item: &WorkItem) -> Visit {
-        // Census first: visit_new fires exactly once per object across
-        // every sub-phase of the cycle, so each live object is tallied
-        // exactly once.
-        if let Some(census) = self.census.as_mut() {
-            census.observe(heap, obj);
-        }
         let class = heap.get(obj).expect("traced object is live").class();
 
         // assert-instances: count every traced object of a tracked class.
@@ -263,8 +247,6 @@ struct PhaseAccum {
     /// Per-worker busy time summed element-wise over every barriered
     /// mark sub-phase of the cycle (ownership rounds plus the root scan).
     worker_busy: Vec<Duration>,
-    /// Merged census shards (populated only when the census is on).
-    census: Option<CensusSink>,
 }
 
 /// Result of one parallel cycle: the standard stats plus the per-worker
@@ -276,14 +258,10 @@ pub(crate) struct ParCycle {
     /// Busy time per tracing worker across the cycle's parallel mark
     /// loops, indexed by worker.
     pub worker_mark: Vec<Duration>,
-    /// The cycle's merged heap census; `Some` exactly when the caller
-    /// requested one.
-    pub census: Option<CensusSink>,
 }
 
 /// Runs one barriered mark sub-phase and folds the shard results into
 /// `acc`, returning the merged deferred-ownee queue.
-#[allow(clippy::too_many_arguments)]
 fn run_phase(
     heap: &Heap,
     ownership: &OwnershipTable,
@@ -291,11 +269,10 @@ fn run_phase(
     seeds: Vec<WorkItem>,
     workers: usize,
     record_dead_edges: bool,
-    census: bool,
     acc: &mut PhaseAccum,
 ) -> Result<Vec<(ObjRef, usize)>, HeapError> {
     let mut shards: Vec<ShardVisitor<'_>> = (0..workers)
-        .map(|_| ShardVisitor::new(ownership, mode, record_dead_edges, census))
+        .map(|_| ShardVisitor::new(ownership, mode, record_dead_edges))
         .collect();
     let stats = mark_parallel(heap, seeds, &mut shards)?;
     acc.objects_marked += stats.objects_marked;
@@ -319,9 +296,6 @@ fn run_phase(
         acc.counters.unshared_bits_seen += shard.counters.unshared_bits_seen;
         acc.dead_edges.extend(shard.dead_edges);
         deferred.extend(shard.deferred);
-        if let Some(sink) = shard.census {
-            acc.census.get_or_insert_with(CensusSink::new).absorb(sink);
-        }
     }
     Ok(deferred)
 }
@@ -339,10 +313,8 @@ pub(crate) fn collect_parallel(
     heap: &mut Heap,
     roots: &[ObjRef],
     workers: usize,
-    census: bool,
 ) -> Result<ParCycle, HeapError> {
     let workers = workers.max(1);
-    let cross_check = census && cfg!(debug_assertions) && !heap_has_stale_marks(heap);
     let cycle_start = Instant::now();
     TraceHooks::gc_begin(engine, heap);
 
@@ -369,7 +341,6 @@ pub(crate) fn collect_parallel(
             seeds,
             workers,
             record_dead_edges,
-            census,
             &mut acc,
         )?;
         // Phase B: deferred-ownee rounds until the queue drains ("resume
@@ -390,7 +361,6 @@ pub(crate) fn collect_parallel(
                 seeds,
                 workers,
                 record_dead_edges,
-                census,
                 &mut acc,
             )?;
         }
@@ -412,7 +382,6 @@ pub(crate) fn collect_parallel(
         seeds,
         workers,
         record_dead_edges,
-        census,
         &mut acc,
     )?;
     debug_assert!(stray.is_empty(), "root scans never credit ownees");
@@ -455,16 +424,9 @@ pub(crate) fn collect_parallel(
         words_swept,
     };
     TraceHooks::gc_end(engine, heap, &cycle);
-    let census = census.then(|| acc.census.unwrap_or_default());
-    if cross_check {
-        if let Some(sink) = &census {
-            sink.verify_live_totals(heap);
-        }
-    }
     Ok(ParCycle {
         cycle,
         worker_mark: acc.worker_busy,
-        census,
     })
 }
 
@@ -660,32 +622,13 @@ fn violation_path(
     .unwrap_or_default()
 }
 
-/// A census-only shard for the Base parallel path: tallies marked objects
-/// and otherwise behaves exactly like [`NoParVisitor`].
-#[derive(Debug, Default)]
-struct CensusShard {
-    sink: CensusSink,
-}
-
-impl ParVisitor for CensusShard {
-    fn visit_new(&mut self, heap: &Heap, obj: ObjRef, _prev: Flags, _item: &WorkItem) -> Visit {
-        self.sink.observe(heap, obj);
-        Visit::Descend
-    }
-    fn visit_marked(&mut self, _h: &Heap, _o: ObjRef, _p: Flags, _i: &WorkItem) {}
-}
-
 /// A full parallel cycle for the Base (uninstrumented) configuration:
-/// plain parallel mark + sequential sweep, no hooks. With `census` the
-/// plain visitors are swapped for census-only shards; without it the
-/// uninstrumented mark loop is untouched.
+/// plain parallel mark + sequential sweep, no hooks.
 pub(crate) fn collect_parallel_base(
     heap: &mut Heap,
     roots: &[ObjRef],
     workers: usize,
-    census: bool,
 ) -> Result<ParCycle, HeapError> {
-    let cross_check = census && cfg!(debug_assertions) && !heap_has_stale_marks(heap);
     let cycle_start = Instant::now();
     let t = Instant::now();
     let seeds: Vec<WorkItem> = roots
@@ -693,20 +636,8 @@ pub(crate) fn collect_parallel_base(
         .filter(|r| r.is_some())
         .map(|&r| WorkItem::seed(r, CTX_NONE))
         .collect();
-    let (stats, sink) = if census {
-        let mut visitors: Vec<CensusShard> = (0..workers.max(1))
-            .map(|_| CensusShard::default())
-            .collect();
-        let stats = mark_parallel(heap, seeds, &mut visitors)?;
-        let mut merged = CensusSink::new();
-        for v in visitors {
-            merged.absorb(v.sink);
-        }
-        (stats, Some(merged))
-    } else {
-        let mut visitors = vec![NoParVisitor; workers.max(1)];
-        (mark_parallel(heap, seeds, &mut visitors)?, None)
-    };
+    let mut visitors = vec![NoParVisitor; workers.max(1)];
+    let stats = mark_parallel(heap, seeds, &mut visitors)?;
     let mark = t.elapsed();
 
     #[cfg(debug_assertions)]
@@ -719,11 +650,6 @@ pub(crate) fn collect_parallel_base(
     let (objects_swept, words_swept) = sweep_heap(heap, &mut NoHooks)?;
     let sweep = t.elapsed();
 
-    if cross_check {
-        if let Some(sink) = &sink {
-            sink.verify_live_totals(heap);
-        }
-    }
     Ok(ParCycle {
         cycle: CycleStats {
             total: cycle_start.elapsed(),
@@ -737,6 +663,5 @@ pub(crate) fn collect_parallel_base(
             words_swept,
         },
         worker_mark: stats.worker_busy,
-        census: sink,
     })
 }

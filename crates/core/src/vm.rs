@@ -1,6 +1,6 @@
 //! The VM façade: heap + collector + assertion engine + mutators.
 
-use gca_collector::{CensusSink, Collector, CopyingCollector, GcStats, NoHooks};
+use gca_collector::{Collector, GcStats, NoHooks};
 use gca_heap::{
     ClassId, Flags, Heap, HeapError, HeapStats, ObjRef, SpaceKind, TypeRegistry, HEADER_WORDS,
 };
@@ -36,7 +36,7 @@ pub struct AssertionCallCounts {
 /// A managed-heap virtual machine with GC assertions.
 ///
 /// `Vm` is the programmer-facing interface of the reproduction: it owns
-/// the [`Heap`], the mark-sweep [`Collector`], the [`AssertionEngine`],
+/// the [`Heap`], the [`Collector`], the [`AssertionEngine`],
 /// and the simulated mutator threads, and implements the paper's
 /// allocation-triggered collection policy (fixed heap budget; collect when
 /// an allocation would exceed it).
@@ -77,11 +77,6 @@ pub struct AssertionCallCounts {
 pub struct Vm {
     pub(crate) heap: Heap,
     collector: Collector,
-    /// The semispace copying backend, present only when
-    /// [`VmConfig::collector`] is [`CollectorKind::Copying`]. The
-    /// mark-sweep `collector` above still accumulates the cumulative
-    /// [`GcStats`] either way, so reporting is backend-agnostic.
-    copying: Option<Box<CopyingCollector>>,
     pub(crate) engine: AssertionEngine,
     config: VmConfig,
     budget: usize,
@@ -111,8 +106,8 @@ pub struct Vm {
     last_calls: AssertionCallCounts,
     /// Heap-census state (site table + drift recorder), present only when
     /// [`VmConfig::census`] is set. Like telemetry, the census observes
-    /// the mark but never participates: live sets, violations and reports
-    /// are bit-identical with it on or off.
+    /// the heap after each cycle but never participates: live sets,
+    /// violations and reports are bit-identical with it on or off.
     census: Option<Box<CensusState>>,
 }
 
@@ -139,29 +134,22 @@ impl Vm {
     ///
     /// # Panics
     ///
-    /// Panics if `config` combines the copying collector with generational
-    /// collection or `gc_threads > 1` — [`VmConfig::builder`] rejects
-    /// these at build time; hand-assembled configs are checked here.
+    /// Panics if `config` fails [`VmConfig::validate`] —
+    /// [`VmConfig::builder`] rejects such combinations at build time;
+    /// hand-assembled configs are checked here.
     pub fn new(config: VmConfig) -> Vm {
+        if let Err(msg) = config.validate() {
+            panic!("Vm: {msg}");
+        }
         let budget = config.heap_budget;
         let telemetry = config
             .telemetry
             .then(|| Box::new(gca_telemetry::GcTelemetry::new()));
         let census = config.census.then(|| Box::new(CensusState::new()));
-        let copying = (config.collector == CollectorKind::Copying).then(|| {
-            assert!(
-                config.generational.is_none(),
-                "Vm: the copying collector is full-heap; it cannot be generational"
-            );
-            assert!(
-                config.gc_threads <= 1,
-                "Vm: the copying collector's Cheney scan is sequential"
-            );
-            Box::new(CopyingCollector::new())
-        });
-        // The collector kind alone determines the space layout: the
-        // copying backend needs semispace address bookkeeping, everything
-        // else runs on the non-moving paged space.
+        // The collector kind alone determines the space layout, and the
+        // space alone determines the collector's mark step: the copying
+        // backend needs semispace address bookkeeping, everything else
+        // runs on the non-moving paged space.
         let heap = Heap::with_space(match config.collector {
             CollectorKind::Copying => SpaceKind::Semispace,
             _ => SpaceKind::Paged,
@@ -169,7 +157,6 @@ impl Vm {
         Vm {
             heap,
             collector: Collector::new(),
-            copying,
             engine: AssertionEngine::new(&config),
             config,
             budget,
@@ -447,115 +434,46 @@ impl Vm {
         self.collections_requested += 1;
         let roots = self.gather_roots();
         let workers = self.config.effective_gc_threads();
-        let want_census = self.census.is_some();
-        // Sequential arms report the whole mark span as worker 0's busy
-        // time; parallel arms return the per-worker profile. The copying
-        // backend dispatches on collector kind before the (mode, workers)
-        // match — its Cheney scan is always sequential.
-        let (cycle, worker_mark, census_sink) = if self.config.collector == CollectorKind::Copying {
-            let copying = self
-                .copying
-                .as_mut()
-                .expect("copying backend initialized in Vm::new");
-            let out = match self.config.mode {
-                Mode::Base if want_census => {
-                    let (cycle, sink) = copying.collect_census(
-                        &mut self.heap,
-                        &roots,
-                        &mut NoHooks,
-                        CensusSink::new(),
-                    )?;
-                    (cycle, vec![cycle.mark], Some(sink))
-                }
-                Mode::Base => {
-                    let cycle = copying.collect(&mut self.heap, &roots, &mut NoHooks)?;
-                    (cycle, vec![cycle.mark], None)
-                }
-                Mode::Instrumented if want_census => {
-                    let (cycle, sink) = copying.collect_census(
-                        &mut self.heap,
-                        &roots,
-                        &mut self.engine,
-                        CensusSink::new(),
-                    )?;
-                    (cycle, vec![cycle.mark], Some(sink))
-                }
-                Mode::Instrumented => {
-                    let cycle = copying.collect(&mut self.heap, &roots, &mut self.engine)?;
-                    (cycle, vec![cycle.mark], None)
-                }
-            };
-            // Keep the backend-agnostic cumulative stats in one place.
-            self.collector.record_cycle(&out.0);
-            out
-        } else {
-            match (self.config.mode, workers) {
-                (Mode::Base, 0 | 1) if want_census => {
-                    let (cycle, sink) = self.collector.collect_census(
-                        &mut self.heap,
-                        &roots,
-                        &mut NoHooks,
-                        CensusSink::new(),
-                    )?;
-                    (cycle, vec![cycle.mark], Some(sink))
-                }
-                (Mode::Base, 0 | 1) => {
-                    let cycle = self
-                        .collector
-                        .collect(&mut self.heap, &roots, &mut NoHooks)?;
-                    (cycle, vec![cycle.mark], None)
-                }
-                (Mode::Instrumented, 0 | 1) if want_census => {
-                    let (cycle, sink) = self.collector.collect_census(
-                        &mut self.heap,
-                        &roots,
-                        &mut self.engine,
-                        CensusSink::new(),
-                    )?;
-                    (cycle, vec![cycle.mark], Some(sink))
-                }
-                (Mode::Instrumented, 0 | 1) => {
-                    let cycle = self
-                        .collector
-                        .collect(&mut self.heap, &roots, &mut self.engine)?;
-                    (cycle, vec![cycle.mark], None)
-                }
-                // Parallel mark phase: the Collector only contributed the
-                // mark/sweep driver, so run the parallel driver directly and
-                // fold the cycle into the collector's cumulative stats.
-                (Mode::Base, n) => {
-                    let par = crate::par_engine::collect_parallel_base(
-                        &mut self.heap,
-                        &roots,
-                        n,
-                        want_census,
-                    )?;
-                    self.collector.record_cycle(&par.cycle);
-                    (par.cycle, par.worker_mark, par.census)
-                }
-                (Mode::Instrumented, n) => {
-                    let par = crate::par_engine::collect_parallel(
-                        &mut self.engine,
-                        &mut self.heap,
-                        &roots,
-                        n,
-                        want_census,
-                    )?;
-                    self.collector.record_cycle(&par.cycle);
-                    (par.cycle, par.worker_mark, par.census)
-                }
+        // One worker runs `Collector::collect`, whose mark step follows
+        // the heap's space (a copying VM always resolves to one worker);
+        // its whole mark span counts as worker 0's busy time. More workers
+        // run the parallel cycle, which returns the per-worker profile.
+        let (cycle, worker_mark) = match (self.config.mode, workers) {
+            (Mode::Base, 0 | 1) => {
+                let cycle = self
+                    .collector
+                    .collect(&mut self.heap, &roots, &mut NoHooks)?;
+                (cycle, vec![cycle.mark])
+            }
+            (Mode::Instrumented, 0 | 1) => {
+                let cycle = self
+                    .collector
+                    .collect(&mut self.heap, &roots, &mut self.engine)?;
+                (cycle, vec![cycle.mark])
+            }
+            (Mode::Base, n) => {
+                let par = crate::par_engine::collect_parallel_base(&mut self.heap, &roots, n)?;
+                self.collector.record_cycle(&par.cycle);
+                (par.cycle, par.worker_mark)
+            }
+            (Mode::Instrumented, n) => {
+                let par = crate::par_engine::collect_parallel(
+                    &mut self.engine,
+                    &mut self.heap,
+                    &roots,
+                    n,
+                )?;
+                self.collector.record_cycle(&par.cycle);
+                (par.cycle, par.worker_mark)
             }
         };
-        // Resolve the census right after the sweep, while every marked
-        // slot still holds its (surviving) object.
-        let census_data = match (self.census.as_deref_mut(), census_sink) {
-            (Some(state), Some(sink)) => {
-                let data = state.build_data(&self.heap, &sink);
-                state.recorder.record_major(data.clone());
-                Some(data)
-            }
-            _ => None,
-        };
+        // The census is taken from the live heap right after the sweep,
+        // so it counts every survivor, whichever engine ran the cycle.
+        let census_data = self.census.as_deref_mut().map(|state| {
+            let data = state.build_data(&self.heap);
+            state.recorder.record_major(data.clone());
+            data
+        });
         // Generational bookkeeping: a major collection promotes every
         // survivor and resets the nursery and the remembered set.
         if self.config.generational.is_some() {

@@ -142,9 +142,13 @@ pub(crate) struct AbsConfig {
     /// Semispace copying backend. Deliberately *unused* by the abstract
     /// interpretation: copying changes when (at which address) objects
     /// live, not whether — verdict prediction is collector-agnostic. The
-    /// field exists so the analyzer validates the key (and its conflict
-    /// with `generational`) exactly like the interpreter.
+    /// field exists so the analyzer validates the key (and its conflicts
+    /// with `generational` and `gc-threads`) exactly like the interpreter.
     pub copying: bool,
+    /// Major-collection worker count. Deliberately *unused* like
+    /// [`AbsConfig::copying`]: the worker count changes scheduling, never
+    /// verdicts. Kept only for the copying rules.
+    pub gc_threads: usize,
     /// Card-marking minors (vs the remembered-set side list). Deliberately
     /// *unused* like [`AbsConfig::copying`]: the two strategies reclaim and
     /// promote identical object sets, so verdict prediction is
@@ -157,6 +161,19 @@ pub(crate) struct AbsConfig {
     pub base_mode: bool,
 }
 
+impl AbsConfig {
+    /// The runtime configuration rules, checked by the same
+    /// [`gc_assertions::VmConfig::validate`] the interpreter applies.
+    pub(crate) fn validate(&self) -> Result<(), &'static str> {
+        let mut vm = gc_assertions::VmConfig::new().gc_threads(self.gc_threads);
+        if self.copying {
+            vm = vm.collector(gc_assertions::CollectorKind::Copying);
+        }
+        vm.generational = self.generational;
+        vm.validate()
+    }
+}
+
 impl Default for AbsConfig {
     fn default() -> AbsConfig {
         AbsConfig {
@@ -167,6 +184,7 @@ impl Default for AbsConfig {
             strict_owner_lifetime: false,
             generational: None,
             copying: false,
+            gc_threads: 1,
             minor_strategy_cards: true,
             reaction: Reaction::Log,
             base_mode: false,

@@ -1713,14 +1713,6 @@ impl<'a> Analyzer<'a> {
                 .map(|v| cfg.strict_owner_lifetime = v)
                 .is_some(),
             "generational" => match value.parse() {
-                Ok(_) if cfg.copying => {
-                    self.fail(
-                        line,
-                        "bad-config",
-                        "the copying collector is full-heap; it cannot be generational".to_owned(),
-                    );
-                    return;
-                }
                 Ok(v) => {
                     cfg.generational = Some(v);
                     true
@@ -1731,14 +1723,6 @@ impl<'a> Analyzer<'a> {
                 "mark-sweep" | "marksweep" => {
                     cfg.copying = false;
                     true
-                }
-                "copying" if cfg.generational.is_some() => {
-                    self.fail(
-                        line,
-                        "bad-config",
-                        "the copying collector is full-heap; it cannot be generational".to_owned(),
-                    );
-                    return;
                 }
                 "copying" => {
                     cfg.copying = true;
@@ -1783,9 +1767,7 @@ impl<'a> Analyzer<'a> {
                 }
                 _ => false,
             },
-            // Worker count changes scheduling, never verdicts — the
-            // analyzer only validates the value.
-            "gc-threads" => value.parse::<usize>().is_ok(),
+            "gc-threads" => value.parse().map(|v| cfg.gc_threads = v).is_ok(),
             "call-depth" => match value.parse::<usize>() {
                 Ok(v) => {
                     self.call_limit = v;
@@ -1801,6 +1783,8 @@ impl<'a> Analyzer<'a> {
                 "bad-config",
                 format!("bad config: `{key} {value}` is not a recognized setting"),
             );
+        } else if let Err(msg) = self.st.config.validate() {
+            self.fail(line, "bad-config", msg.to_owned());
         }
     }
 }
@@ -1974,6 +1958,22 @@ mod tests {
         let a = analyze("class T\nset ghost.f ghost\nnew a T\n").unwrap();
         assert_eq!(errors(&a), ["unknown-variable"]);
         assert_eq!(a.diagnostics.len(), 1);
+    }
+
+    #[test]
+    fn copying_config_conflicts_fail_like_the_interpreter() {
+        for src in [
+            "config collector copying\nconfig gc-threads 2\n",
+            "config gc-threads 2\nconfig collector copying\n",
+            "config collector copying\nconfig generational 4\n",
+            "config generational 4\nconfig collector copying\n",
+        ] {
+            let a = analyze(src).unwrap();
+            assert_eq!(errors(&a), ["bad-config"], "{src}");
+            assert_eq!(a.diagnostics[0].line, 2, "{src}");
+        }
+        let a = analyze("config collector copying\nconfig gc-threads 1\n").unwrap();
+        assert!(!a.has_errors(), "{:?}", a.diagnostics);
     }
 
     #[test]

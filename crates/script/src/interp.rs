@@ -217,7 +217,7 @@ impl Interpreter {
         }
         let bad = |msg: &str| ScriptError::new(line, ScriptErrorKind::BadArguments(msg.to_owned()));
         let cfg = self.config.clone();
-        self.config = match key {
+        let cfg = match key {
             "heap" => cfg.heap_budget_words(value.parse().map_err(|_| bad("heap <words>"))?),
             "grow" => cfg.grow_on_oom(parse_bool(value).ok_or_else(|| bad("grow on|off"))?),
             "report-once" => {
@@ -229,27 +229,12 @@ impl Interpreter {
             "strict-owner-lifetime" => cfg.strict_owner_lifetime(
                 parse_bool(value).ok_or_else(|| bad("strict-owner-lifetime on|off"))?,
             ),
-            "generational" => {
-                if cfg.collector == CollectorKind::Copying {
-                    return Err(bad(
-                        "the copying collector is full-heap; it cannot be generational",
-                    ));
-                }
-                cfg.generational(value.parse().map_err(|_| bad("generational <n>"))?)
-            }
-            "collector" => {
-                let kind = match value {
-                    "mark-sweep" | "marksweep" => CollectorKind::MarkSweep,
-                    "copying" if cfg.generational.is_some() => {
-                        return Err(bad(
-                            "the copying collector is full-heap; it cannot be generational",
-                        ))
-                    }
-                    "copying" => CollectorKind::Copying,
-                    _ => return Err(bad("collector mark-sweep|copying")),
-                };
-                cfg.collector(kind)
-            }
+            "generational" => cfg.generational(value.parse().map_err(|_| bad("generational <n>"))?),
+            "collector" => cfg.collector(match value {
+                "mark-sweep" | "marksweep" => CollectorKind::MarkSweep,
+                "copying" => CollectorKind::Copying,
+                _ => return Err(bad("collector mark-sweep|copying")),
+            }),
             "minor-strategy" => cfg.minor_strategy(match value {
                 "cards" => MinorStrategy::Cards,
                 "remembered-set" => MinorStrategy::RememberedSet,
@@ -273,6 +258,8 @@ impl Interpreter {
             }
             _ => return Err(bad("unknown config key")),
         };
+        cfg.validate().map_err(bad)?;
+        self.config = cfg;
         Ok(())
     }
 
@@ -737,6 +724,35 @@ minor-gc
         let e = Interpreter::run_script("class T\nconfig heap 99\n").unwrap_err();
         assert_eq!(e.line, 2);
         assert_eq!(e.kind, ScriptErrorKind::ConfigAfterStart);
+    }
+
+    #[test]
+    fn copying_config_conflicts_are_errors_at_the_second_line() {
+        for (src, rule) in [
+            (
+                "config collector copying\nconfig gc-threads 2\n",
+                "sequential",
+            ),
+            (
+                "config gc-threads 2\nconfig collector copying\n",
+                "sequential",
+            ),
+            (
+                "config collector copying\nconfig generational 4\n",
+                "full-heap",
+            ),
+            (
+                "config generational 4\nconfig collector copying\n",
+                "full-heap",
+            ),
+        ] {
+            let e = Interpreter::run_script(src).unwrap_err();
+            assert_eq!(e.line, 2, "{src}");
+            assert!(
+                matches!(&e.kind, ScriptErrorKind::BadArguments(msg) if msg.contains(rule)),
+                "{src}: {e}"
+            );
+        }
     }
 
     #[test]

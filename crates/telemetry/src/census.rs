@@ -1,14 +1,12 @@
 //! Heap census: per-class / per-allocation-site live histograms and the
 //! leak-drift detector built on top of them.
 //!
-//! The collector already visits every live object during the mark, so a
-//! *census* — how many live objects and bytes each class and each
-//! allocation site retains — comes almost for free (the paper's central
-//! piggybacking trick, applied to heap *content* instead of assertions).
-//! The VM accumulates raw counts during each mark (sequentially in the
-//! tracer, sharded per worker in the parallel phase, survivors-only on the
-//! minor path), resolves class and site names, and feeds one
-//! [`CensusData`] per cycle into a [`HeapCensus`] recorder.
+//! After a collection's sweep the heap holds exactly the live objects,
+//! so a *census* — how many live objects and bytes each class and each
+//! allocation site retains — is one walk over them. The VM takes it after
+//! every major cycle (and over the nursery survivors after a minor),
+//! resolves class and site names, and feeds one [`CensusData`] per cycle
+//! into a [`HeapCensus`] recorder.
 //!
 //! On top of the per-cycle snapshots the recorder runs a **drift
 //! detector**: a rolling window over the last `K` major cycles per class

@@ -219,9 +219,9 @@ pub fn run_once_census(
     run_once_census_collector(workload, config, CollectorKind::MarkSweep)
 }
 
-/// As [`run_once_census`], but on the chosen collector backend — the
-/// copying engine observes the census at evacuation time, so the tallies
-/// must come out identical.
+/// As [`run_once_census`], but on the chosen collector backend. The VM
+/// takes the census from the live heap after each cycle, whichever
+/// backend ran it, so the tallies come out identical.
 ///
 /// # Errors
 ///

@@ -3,15 +3,16 @@
 //! The census inherits telemetry's contract — *observation, never
 //! participation* — and its differential tests are correspondingly
 //! stricter: enabling the census must not change a single collector
-//! decision under any engine (sequential, parallel, generational). On
-//! top sit the ISSUE's acceptance guarantees: census-enabled JSONL
-//! records carry per-class live tallies and top allocation sites; the
-//! drift detector flags the leaking class in SwapLeak and stays silent
-//! on steady-state pseudojbb; and `Vm::census()` serves heap diffs and
-//! Prometheus metrics.
+//! decision under any engine (sequential, parallel, copying,
+//! generational). On top sit the acceptance guarantees: census-enabled
+//! JSONL records carry per-class live tallies and top allocation sites;
+//! the drift detector flags the leaking class in SwapLeak and stays
+//! silent on steady-state pseudojbb; and `Vm::census()` serves heap
+//! diffs and Prometheus metrics.
 
 use gc_assertions::{
-    parse_jsonl, CycleKind, DriftScope, GcReport, Mode, Vm, VmConfig, VmConfigBuilder,
+    parse_jsonl, CollectorKind, CycleKind, DriftScope, GcReport, Mode, Vm, VmConfig,
+    VmConfigBuilder,
 };
 use gca_workloads::pseudojbb::PseudoJbb;
 use gca_workloads::runner::Workload;
@@ -76,7 +77,7 @@ fn base_builder(w: &dyn Workload, mode: Mode) -> VmConfigBuilder {
 }
 
 /// The tentpole differential: for a suite cross-section under every
-/// engine — sequential instrumented, detached Base, parallel, and
+/// engine — sequential instrumented, detached Base, parallel, copying and
 /// generational — a census-on run is bit-identical (live set, violation
 /// log, non-timing reports) to a census-off run.
 #[test]
@@ -91,6 +92,10 @@ fn census_does_not_perturb_any_engine() {
                 base_builder(&w, Mode::Instrumented).gc_threads(2),
             ),
             ("parallel-base", base_builder(&w, Mode::Base).gc_threads(2)),
+            (
+                "copying",
+                base_builder(&w, Mode::Instrumented).collector(CollectorKind::Copying),
+            ),
             (
                 "generational",
                 base_builder(&w, Mode::Instrumented).generational(16),
@@ -109,6 +114,40 @@ fn census_does_not_perturb_any_engine() {
                 w.name
             );
         }
+    }
+}
+
+/// A minor collection on a non-generational heap leaves its survivors
+/// marked, so the next major's mark never claims them again. The census
+/// is taken from the live heap after the sweep, so it still counts them,
+/// on every engine.
+#[test]
+fn census_after_minor_counts_every_live_object() {
+    let engines: Vec<(&str, VmConfigBuilder)> = vec![
+        ("mark-sweep", VmConfig::builder()),
+        ("parallel", VmConfig::builder().gc_threads(2)),
+        (
+            "copying",
+            VmConfig::builder().collector(CollectorKind::Copying),
+        ),
+    ];
+    for (label, builder) in engines {
+        let mut vm = Vm::new(builder.census(true).build());
+        let node = vm.register_class("Node", &["next"]);
+        let m = vm.main();
+        let head = vm.alloc_rooted(m, node, 1, 0).unwrap();
+        let tail = vm.alloc(m, node, 1, 0).unwrap();
+        vm.set_field(head, 0, tail).unwrap();
+        vm.collect_minor().unwrap();
+        vm.collect().unwrap();
+        let census = vm.census();
+        let latest = census.latest().expect("the major took a census");
+        assert_eq!(
+            latest.data.total_objects(),
+            vm.heap().live_objects() as u64,
+            "{label}: census total against the live heap"
+        );
+        assert_eq!(vm.heap().live_objects(), 2, "{label}");
     }
 }
 
