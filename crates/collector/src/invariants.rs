@@ -11,6 +11,8 @@
 //! model-check gate runs with `debug-assertions = true` (the `mcheck`
 //! profile) so every enumerated program exercises them.
 
+use std::collections::HashSet;
+
 use gca_heap::{Flags, Heap};
 
 /// Tri-color consistency at `trace_done` time (after the transitive mark,
@@ -82,6 +84,32 @@ pub fn forwarding_totality_violations(heap: &Heap) -> Vec<String> {
     problems
 }
 
+/// Card cover, at the start of a generational minor: every live `OLD`
+/// object that references a live non-`OLD` object must be in
+/// [`Heap::remembered_from_cards`]. That is the specification of the
+/// card-marking write barrier — the minor trace stops at old objects, so
+/// an old→young edge outside the harvest would let the sweep free a
+/// young object the program can still reach. (Harvest entries whose
+/// children are all old are harmless: the trace skips old children.)
+pub fn card_cover_violations(heap: &Heap) -> Vec<String> {
+    let harvest: HashSet<_> = heap.remembered_from_cards().into_iter().collect();
+    let is_old = |r| heap.has_flag(r, Flags::OLD).unwrap_or(false);
+    let mut problems = Vec::new();
+    for (r, obj) in heap.iter() {
+        if !is_old(r) || harvest.contains(&r) {
+            continue;
+        }
+        for (i, &child) in obj.refs().iter().enumerate() {
+            if child.is_some() && heap.is_valid(child) && !is_old(child) {
+                problems.push(format!(
+                    "old {r:?}.{i} -> young {child:?}, but {r:?} is not on a dirty card"
+                ));
+            }
+        }
+    }
+    problems
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -136,5 +164,27 @@ mod tests {
         assert!(problems[0].contains("was forwarded"));
         heap.set_flag(b, Flags::MARK).unwrap();
         heap.evac_finish();
+    }
+
+    #[test]
+    fn card_cover_fires_when_a_card_is_cleared_under_an_old_to_young_edge() {
+        let mut heap = Heap::new();
+        let c = heap.register_class("T", &["f"]);
+        let old = heap.alloc(c, 1, 0).unwrap();
+        let young = heap.alloc(c, 1, 0).unwrap();
+        heap.set_flag(old, Flags::OLD).unwrap();
+        heap.clear_cards();
+        heap.set_ref_field(old, 0, young).unwrap();
+        assert!(
+            card_cover_violations(&heap).is_empty(),
+            "the store dirtied the card"
+        );
+        heap.clear_cards();
+        let problems = card_cover_violations(&heap);
+        assert_eq!(problems.len(), 1, "{problems:?}");
+        assert!(problems[0].contains("not on a dirty card"), "{problems:?}");
+        // Promoting the child makes the edge old->old: nothing to cover.
+        heap.set_flag(young, Flags::OLD).unwrap();
+        assert!(card_cover_violations(&heap).is_empty());
     }
 }

@@ -72,7 +72,7 @@ mod tracer;
 pub use collector::{sweep_heap, Collector};
 pub use deque::StealDeque;
 pub use hooks::{NoHooks, TraceHooks, Visit};
-pub use invariants::{forwarding_totality_violations, tricolor_violations};
+pub use invariants::{card_cover_violations, forwarding_totality_violations, tricolor_violations};
 pub use minor::{collect_minor, MinorStats};
 pub use parallel::{
     mark_parallel, push_child_items, reconstruct_path, NoParVisitor, ParMarkStats, ParVisitor,

@@ -9,8 +9,9 @@
 //! * objects carry an [`Flags::OLD`] bit once they survive a collection;
 //! * a minor collection traces only the *young* population, starting from
 //!   the roots and from the remembered set (old objects that may have
-//!   acquired references to young objects — maintained by the VM's write
-//!   barrier), treating every old object as immortal;
+//!   acquired references to young objects — the VM harvests it from the
+//!   card table its write barrier dirties), treating every old object as
+//!   immortal;
 //! * young survivors are promoted (their `OLD` bit is set);
 //! * **no assertions are checked** — only the [`TraceHooks::swept`] hook
 //!   runs, so engine metadata for reclaimed objects can be retired.
@@ -69,15 +70,15 @@ impl TraceHooks for MinorHooks {
 
 /// Runs a minor collection.
 ///
-/// `roots` is the usual stop-the-world root snapshot; `remembered` is the
-/// write-barrier log of old objects that may reference young ones;
+/// `roots` is the usual stop-the-world root snapshot; `remembered` lists
+/// the old objects that may reference young ones (the card harvest);
 /// `young` is the list of objects allocated since the previous collection
 /// (entries whose object already died are tolerated and skipped). Young
 /// survivors are promoted in place (non-moving nursery). `hooks` receives
 /// **only** `swept` calls.
 ///
 /// Returns the statistics; the caller is responsible for clearing its
-/// young list and remembered set afterwards.
+/// young list and card table afterwards.
 ///
 /// # Errors
 ///
@@ -105,8 +106,6 @@ pub fn collect_minor<H: TraceHooks>(
             // itself (it stays unmarked — old objects are not collected
             // here, and leaving it unmarked avoids a cleanup pass).
             tracer.push_children_of(heap, r)?;
-            // The barrier dedupe bit is consumed by this collection.
-            heap.clear_flag(r, Flags::REMEMBERED)?;
         }
     }
     let mut minor_hooks = MinorHooks {
@@ -195,7 +194,7 @@ mod tests {
     fn remembered_set_keeps_young_alive() {
         let (mut heap, mut tracer) = setup();
         let old = alloc(&mut heap);
-        heap.set_flag(old, Flags::OLD | Flags::REMEMBERED).unwrap();
+        heap.set_flag(old, Flags::OLD).unwrap();
         let young = alloc(&mut heap);
         heap.set_ref_field(old, 0, young).unwrap();
         // `old` is not a root here (it is simply assumed live).
@@ -205,10 +204,6 @@ mod tests {
         assert_eq!(stats.remembered_scanned, 1);
         assert!(heap.is_valid(young));
         assert!(heap.has_flag(young, Flags::OLD).unwrap());
-        assert!(
-            !heap.has_flag(old, Flags::REMEMBERED).unwrap(),
-            "barrier bit consumed"
-        );
         assert!(!heap.has_flag(old, Flags::MARK).unwrap());
     }
 

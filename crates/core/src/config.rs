@@ -59,29 +59,10 @@ pub enum CollectorKind {
     Copying,
 }
 
-/// How a generational *minor* collection discovers old→young references.
-///
-/// Both strategies produce bit-identical collection results — the same
-/// survivors, promotions and assertion verdicts — because any extra old
-/// objects a card scan visits only have their old (skipped) or
-/// already-young-listed children examined. Only scan-effort statistics
-/// differ. The knob exists so the equivalence is testable (and so the
-/// ablation benches can price each barrier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MinorStrategy {
-    /// Harvest the heap's card table: every reference-field store dirties
-    /// the *source* page's card (an unconditional one-bit write), and the
-    /// minor scans the old objects resident on dirty pages. Cheapest
-    /// barrier; the scan may visit old objects that never acquired a
-    /// young reference.
-    #[default]
-    Cards,
-    /// Maintain an exact remembered-set side list: the write barrier
-    /// tests the source and target generations and logs old objects that
-    /// acquire young references (deduplicated by the `REMEMBERED` header
-    /// bit). Costlier barrier; minimal scan.
-    RememberedSet,
-}
+/// Most mark workers a configuration may ask for: the parallel mark
+/// starts one scoped thread per worker, so an unbounded count from a
+/// script or CLI flag could exhaust the process's threads.
+pub const MAX_GC_THREADS: usize = 64;
 
 /// The classes of assertion a [`Reaction`] override can target — §2.6
 /// suggests "different actions based on the class of assertion that is
@@ -170,10 +151,6 @@ pub struct VmConfig {
     /// Which collector algorithm backs major collections (see
     /// [`CollectorKind`]). Defaults to the paper's MarkSweep.
     pub collector: CollectorKind,
-    /// How minor collections discover old→young references (see
-    /// [`MinorStrategy`]); irrelevant unless [`VmConfig::generational`]
-    /// is set. Defaults to card marking.
-    pub minor_strategy: MinorStrategy,
     /// Shard identity when this VM is one member of a fleet (the soak
     /// harness runs one VM per shard thread). Purely informational: the
     /// VM never branches on it, but exporters use it to label telemetry
@@ -198,7 +175,6 @@ impl Default for VmConfig {
             telemetry: false,
             census: false,
             collector: CollectorKind::MarkSweep,
-            minor_strategy: MinorStrategy::Cards,
             shard: None,
         }
     }
@@ -297,13 +273,6 @@ impl VmConfig {
         self
     }
 
-    /// Selects how minor collections discover old→young references.
-    #[must_use]
-    pub fn minor_strategy(mut self, strategy: MinorStrategy) -> VmConfig {
-        self.minor_strategy = strategy;
-        self
-    }
-
     /// Tags this VM as shard `shard` of a fleet (see [`VmConfig::shard`]).
     #[must_use]
     pub fn shard(mut self, shard: u64) -> VmConfig {
@@ -335,23 +304,26 @@ impl VmConfig {
     pub fn effective_gc_threads(&self) -> usize {
         match self.gc_threads {
             _ if self.collector == CollectorKind::Copying => 1,
-            0 => std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1),
+            0 => std::thread::available_parallelism().map_or(1, |n| n.get().min(MAX_GC_THREADS)),
             n => n,
         }
     }
 
-    /// Checks the combination rules of the collector settings: the copying
-    /// collector is full-heap, so it cannot be generational, and its
-    /// Cheney scan is sequential, so `gc_threads` must be 0 or 1. The
-    /// builder, [`crate::Vm::new`] and the script interpreter all apply
-    /// these rules through this one function.
+    /// Checks the combination rules of the collector settings:
+    /// `gc_threads` is at most [`MAX_GC_THREADS`] (the parallel mark
+    /// starts one thread per worker); the copying collector is
+    /// full-heap, so it cannot be generational, and its Cheney scan is
+    /// sequential, so `gc_threads` must be 0 or 1. The builder,
+    /// [`crate::Vm::new`], the script interpreter and `gca check` all
+    /// apply these rules through this one function.
     ///
     /// # Errors
     ///
     /// A description of the first rule the configuration breaks.
     pub fn validate(&self) -> Result<(), &'static str> {
+        if self.gc_threads > MAX_GC_THREADS {
+            return Err("gc_threads is at most 64 (one mark thread per worker)");
+        }
         if self.collector == CollectorKind::Copying {
             if self.generational.is_some() {
                 return Err("the copying collector is full-heap; it cannot be generational");
@@ -471,13 +443,6 @@ impl VmConfigBuilder {
     /// [`CollectorKind`]).
     pub fn collector(mut self, kind: CollectorKind) -> VmConfigBuilder {
         self.config.collector = kind;
-        self
-    }
-
-    /// Selects how minor collections discover old→young references (see
-    /// [`MinorStrategy`]).
-    pub fn minor_strategy(mut self, strategy: MinorStrategy) -> VmConfigBuilder {
-        self.config.minor_strategy = strategy;
         self
     }
 
@@ -645,5 +610,18 @@ mod tests {
         assert!(err.contains("full-heap"), "{err}");
         let err = copying.gc_threads(2).validate().unwrap_err();
         assert!(err.contains("sequential"), "{err}");
+    }
+
+    #[test]
+    fn validate_bounds_gc_threads() {
+        // Checked without building a VM: no mark thread is ever started.
+        let at = VmConfig::new().gc_threads(MAX_GC_THREADS);
+        assert_eq!(at.validate(), Ok(()));
+        let past = VmConfig::new().gc_threads(MAX_GC_THREADS + 1);
+        let err = past.validate().unwrap_err();
+        assert!(err.contains("at most 64"), "{err}");
+        let built =
+            std::panic::catch_unwind(|| VmConfig::builder().gc_threads(MAX_GC_THREADS + 1).build());
+        assert!(built.is_err(), "the builder applies the same bound");
     }
 }

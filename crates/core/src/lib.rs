@@ -88,7 +88,7 @@ mod vm;
 pub use assertions::{Assertions, RegionGuard};
 pub use census::AllocSite;
 pub use config::{
-    AssertionClass, CollectorKind, MinorStrategy, Mode, Reaction, VmConfig, VmConfigBuilder,
+    AssertionClass, CollectorKind, Mode, Reaction, VmConfig, VmConfigBuilder, MAX_GC_THREADS,
 };
 pub use engine::AssertionEngine;
 pub use error::VmError;

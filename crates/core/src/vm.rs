@@ -6,7 +6,7 @@ use gca_heap::{
 };
 
 use crate::census::{AllocSite, CensusState};
-use crate::config::{CollectorKind, MinorStrategy, Mode, Reaction, VmConfig};
+use crate::config::{CollectorKind, Mode, Reaction, VmConfig};
 use crate::engine::AssertionEngine;
 use crate::error::VmError;
 use crate::mutator::{Mutator, MutatorId, Region};
@@ -90,9 +90,6 @@ pub struct Vm {
     handler: Handler,
     /// Generational mode: objects allocated since the last collection.
     young: Vec<ObjRef>,
-    /// Generational mode: write-barrier log of old objects that may
-    /// reference young objects.
-    remembered: Vec<ObjRef>,
     minors_since_major: usize,
     minor_collections: u64,
     minor_gc_time: std::time::Duration,
@@ -169,7 +166,6 @@ impl Vm {
             totals: crate::report::CheckCounters::default(),
             handler: Handler(None),
             young: Vec::new(),
-            remembered: Vec::new(),
             minors_since_major: 0,
             minor_collections: 0,
             minor_gc_time: std::time::Duration::ZERO,
@@ -272,26 +268,9 @@ impl Vm {
         value: ObjRef,
     ) -> Result<ObjRef, VmError> {
         self.check_running()?;
-        let old = self.heap.set_ref_field(obj, field, value)?;
-        // Generational write barrier. Card-marking minors need no work
-        // here: `Heap::set_ref_field` already dirtied the source page's
-        // card. The remembered-set strategy additionally records old
-        // objects that acquire references to young objects (deduplicated
-        // by the REMEMBERED header bit).
-        if self.config.generational.is_some()
-            && self.config.minor_strategy == MinorStrategy::RememberedSet
-            && value.is_some()
-        {
-            let src = self.heap.flags_of(obj)?;
-            if src.contains(Flags::OLD) && !src.contains(Flags::REMEMBERED) {
-                let dst_old = self.heap.has_flag(value, Flags::OLD)?;
-                if !dst_old {
-                    self.heap.set_flag(obj, Flags::REMEMBERED)?;
-                    self.remembered.push(obj);
-                }
-            }
-        }
-        Ok(old)
+        // The generational write barrier is `Heap::set_ref_field`'s own:
+        // it dirties the source page's card, which the next minor scans.
+        Ok(self.heap.set_ref_field(obj, field, value)?)
     }
 
     /// Reads a data (primitive) word.
@@ -475,7 +454,7 @@ impl Vm {
             data
         });
         // Generational bookkeeping: a major collection promotes every
-        // survivor and resets the nursery and the remembered set.
+        // survivor and resets the nursery.
         if self.config.generational.is_some() {
             for i in 0..self.young.len() {
                 let r = self.young[i];
@@ -484,13 +463,6 @@ impl Vm {
                 }
             }
             self.young.clear();
-            for i in 0..self.remembered.len() {
-                let r = self.remembered[i];
-                if self.heap.is_valid(r) {
-                    self.heap.clear_flag(r, Flags::REMEMBERED)?;
-                }
-            }
-            self.remembered.clear();
             self.minors_since_major = 0;
             // Every old->young edge the cards were tracking is now
             // old->old (all survivors promoted); start a clean epoch.
@@ -648,10 +620,13 @@ impl Vm {
         });
     }
 
-    /// Runs a minor (nursery-only) collection now. Only available in
-    /// generational mode; **no assertions are checked** — the paper's
-    /// §2.2 trade-off. Ownership metadata for reclaimed objects is still
-    /// retired, and the strict-owner-lifetime extension may report.
+    /// Runs a minor (nursery-only) collection now. In generational mode
+    /// **no assertions are checked** — the paper's §2.2 trade-off.
+    /// Ownership metadata for reclaimed objects is still retired, and the
+    /// strict-owner-lifetime extension may report. Without generational
+    /// mode there is no nursery, and the call does nothing: it traces
+    /// nothing, leaves no mark bits for the next major to trip over, and
+    /// adds no counter, telemetry or census record.
     ///
     /// # Errors
     ///
@@ -659,17 +634,26 @@ impl Vm {
     /// both modes); heap errors propagate; [`VmError::Halted`] if halted.
     pub fn collect_minor(&mut self) -> Result<gca_collector::MinorStats, VmError> {
         self.check_running()?;
+        if self.config.generational.is_none() {
+            return Ok(gca_collector::MinorStats::default());
+        }
+        // Invariant module (debug builds and the `mcheck` profile): the
+        // card table covers every old->young edge, or the harvest below
+        // would miss a young object the program can still reach.
+        #[cfg(debug_assertions)]
+        {
+            let problems = gca_collector::card_cover_violations(&self.heap);
+            assert!(
+                problems.is_empty(),
+                "card cover at minor start: {problems:?}"
+            );
+        }
         let roots = self.gather_roots();
         let young = std::mem::take(&mut self.young);
-        // Sources of hidden old->young edges, by strategy. The card
-        // harvest is a superset of the remembered set (every dirty page's
-        // live old objects, in index order) but the extra entries only
-        // reference old children, which the minor trace skips — so both
-        // strategies reclaim and promote exactly the same objects.
-        let remembered = match self.config.minor_strategy {
-            MinorStrategy::Cards => self.heap.remembered_from_cards(),
-            MinorStrategy::RememberedSet => std::mem::take(&mut self.remembered),
-        };
+        // Sources of hidden old->young edges: every live old object on a
+        // dirty page, in index order. Entries whose children are all old
+        // change nothing, because the minor trace skips old objects.
+        let remembered = self.heap.remembered_from_cards();
         let mut tracer = gca_collector::Tracer::new();
         let stats = match self.config.mode {
             Mode::Base => gca_collector::collect_minor(

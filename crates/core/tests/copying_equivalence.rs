@@ -87,9 +87,8 @@ proptest! {
     /// check no assertions, so the violation log and check counters can
     /// legitimately differ in when (and, with report-once, whether) a
     /// violation is recorded; the live set after the closing major
-    /// collection cannot. One matrix per period: distinct major schedules
-    /// legitimately differ from *each other* on full outcomes, so they
-    /// must not land in the same minor-strategy pairing group.
+    /// collection cannot. Each major schedule is checked against copying
+    /// in a matrix of its own.
     #[test]
     fn copying_agrees_with_generational_on_liveness(
         ops in proptest::collection::vec(fuzz_op_strategy(), 1..120),

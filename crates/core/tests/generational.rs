@@ -246,3 +246,44 @@ fn regions_work_under_generational_collection() {
     assert_eq!(report.violations.len(), 1);
     assert!(vm.is_live(leaked));
 }
+
+/// Without generational mode there is no nursery, so `collect_minor` is
+/// a no-op: it must not leave mark bits that make the next major skip
+/// a reachable asserted-dead object or an instance-limit overflow.
+#[test]
+fn minor_without_generations_hides_no_violation() {
+    use gc_assertions::{CollectorKind, ViolationKind};
+    for (engine, config) in [
+        ("mark-sweep", VmConfig::builder().build()),
+        ("gc_threads(2)", VmConfig::builder().gc_threads(2).build()),
+        (
+            "copying",
+            VmConfig::builder()
+                .collector(CollectorKind::Copying)
+                .build(),
+        ),
+    ] {
+        let mut vm = Vm::new(config);
+        let c = vm.register_class("T", &[]);
+        let m = vm.main();
+        let a = vm.alloc_rooted(m, c, 0, 0).unwrap();
+        vm.alloc_rooted(m, c, 0, 0).unwrap();
+        vm.assert_dead(a).unwrap();
+        vm.assert_instances(c, 1).unwrap();
+        let stats = vm.collect_minor().unwrap();
+        assert_eq!(stats, Default::default(), "{engine}: the minor traced");
+        assert_eq!(vm.minor_collections(), 0, "{engine}");
+        let report = vm.collect().unwrap();
+        let dead = report
+            .violations
+            .iter()
+            .filter(|v| matches!(v.kind, ViolationKind::DeadReachable { .. }))
+            .count();
+        let over = report
+            .violations
+            .iter()
+            .filter(|v| matches!(v.kind, ViolationKind::InstanceLimit { .. }))
+            .count();
+        assert_eq!((dead, over), (1, 1), "{engine}: {:?}", report.violations);
+    }
+}

@@ -65,9 +65,6 @@ impl Flags {
     /// Object has survived a collection (generational mode): minor
     /// collections treat it as immortal and do not scan beyond it.
     pub const OLD: Flags = Flags(1 << 7);
-    /// Object is in the remembered set (an old object that may hold
-    /// references to young objects); deduplicates write-barrier entries.
-    pub const REMEMBERED: Flags = Flags(1 << 8);
 
     /// Bits that must be recomputed on every collection and are therefore
     /// cleared by sweep ([`Flags::MARK`] and [`Flags::OWNED`]).
@@ -148,7 +145,7 @@ impl Not for Flags {
 
 impl fmt::Debug for Flags {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let names: [(Flags, &str); 9] = [
+        let names: [(Flags, &str); 8] = [
             (Flags::MARK, "MARK"),
             (Flags::DEAD, "DEAD"),
             (Flags::UNSHARED, "UNSHARED"),
@@ -157,7 +154,6 @@ impl fmt::Debug for Flags {
             (Flags::REPORTED, "REPORTED"),
             (Flags::OWNER, "OWNER"),
             (Flags::OLD, "OLD"),
-            (Flags::REMEMBERED, "REMEMBERED"),
         ];
         let mut first = true;
         write!(f, "Flags(")?;
@@ -290,7 +286,6 @@ mod tests {
             Flags::REPORTED,
             Flags::OWNER,
             Flags::OLD,
-            Flags::REMEMBERED,
         ];
         for (i, a) in all.iter().enumerate() {
             for (j, b) in all.iter().enumerate() {

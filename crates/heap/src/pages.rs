@@ -5,7 +5,7 @@
 //! slots each. Every page is dedicated to one size class (all slots the
 //! same size in words), so an object index decomposes in O(1) into
 //! `(page, slot)` by shift/mask and all per-object metadata — liveness,
-//! slot generations, and the nine [`Flags`] bit-planes — lives in dense
+//! slot generations, and the eight [`Flags`] bit-planes — lives in dense
 //! per-page side tables instead of object headers. This is the classic
 //! BiBOP discipline: the *page* knows the size and metadata of everything
 //! inside it, so the mark loop and sweep operate on 64-slot bitmap words
@@ -45,7 +45,7 @@ pub const SIZE_CLASSES: [usize; 7] = [4, 8, 16, 32, 64, 128, 256];
 pub const LOS_THRESHOLD: usize = 256;
 
 /// Number of [`Flags`] bits, and therefore of per-page flag bit-planes.
-const FLAG_PLANES: usize = 9;
+const FLAG_PLANES: usize = 8;
 
 /// Simulated bytes per word for page base addresses.
 const WORD_BYTES: u64 = 8;
@@ -104,7 +104,7 @@ pub(crate) struct Page {
     /// Occupancy hint: bit `k` set means plane `k` *may* hold bits. A
     /// conservative superset (shared-path clears leave it stale), tightened
     /// on `clear_all_flags`, so the free path skips planes that were never
-    /// touched instead of read-modify-writing all nine.
+    /// touched instead of read-modify-writing all eight.
     plane_hint: AtomicU16,
     /// Whether this page is on its class's avail stack (or the LOS free
     /// list), to keep the stacks duplicate-free.

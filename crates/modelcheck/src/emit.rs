@@ -7,7 +7,7 @@
 //! including `Swap`, which the script language has no primitive for (the
 //! shadow knows both field values, so it lowers to two `set`s).
 
-use gc_assertions::{CollectorKind, MinorStrategy, VmConfig};
+use gc_assertions::{CollectorKind, VmConfig};
 
 use crate::program::FuzzOp;
 
@@ -139,8 +139,7 @@ struct EObj {
 }
 
 /// Renders `ops` as a runnable `.gca` script configured for `config`
-/// (collector kind, generational schedule and minor strategy are
-/// scriptable; worker count and census are noted as comments). Extra
+/// (collector kind and generational schedule are scriptable; worker count and census are noted as comments). Extra
 /// `header` lines are prepended as `#` comments — the caller puts the
 /// mismatch description and replay seed there.
 pub fn emit_gca(ops: &[FuzzOp], config: &VmConfig, header: &[String]) -> String {
@@ -164,13 +163,6 @@ pub fn emit_gca(ops: &[FuzzOp], config: &VmConfig, header: &[String]) -> String 
     }
     if let Some(n) = config.generational {
         push(&format!("config generational {n}"));
-        push(&format!(
-            "config minor-strategy {}",
-            match config.minor_strategy {
-                MinorStrategy::Cards => "cards",
-                MinorStrategy::RememberedSet => "remembered-set",
-            }
-        ));
     }
     if config.gc_threads > 1 {
         push(&format!(
@@ -388,7 +380,6 @@ mod tests {
         let text = emit_gca(&sample_ops(), &cfg, &["demo".to_string()]);
         for needle in [
             "config generational 2",
-            "config minor-strategy cards",
             "class N a b c",
             "new n0 N",
             "new n1 N 27",

@@ -6,7 +6,7 @@
 //! root-set changes, explicit major/minor GC points, and every
 //! assertion kind the paper describes, interleaved at every program
 //! point — and runs each one through the full collector engine matrix
-//! (`ms`, `par2`, `copying`, `gen-cards`, `gen-rs`), requiring
+//! (`ms`, `par2`, `copying`, `gen-cards`), requiring
 //! bit-identical observable outcomes per the pairing policy in
 //! [`engines`].
 //!

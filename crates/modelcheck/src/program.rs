@@ -63,9 +63,9 @@ pub enum FuzzOp {
     },
     /// Full (major) collection + heap verification.
     Collect,
-    /// Minor (nursery-only) collection on generational engines; a no-op
-    /// everywhere else. Exercises the card-scan / remembered-set minor
-    /// paths, which explicit majors never reach on small programs.
+    /// Minor (nursery-only) collection on generational engines; the VM
+    /// makes it a no-op everywhere else. Exercises the card-scan minor
+    /// path, which explicit majors never reach on small programs.
     MinorGc,
     /// `assert-dead` on a rooted object. It passes if a later `UnrootTo`
     /// kills the object before the next collection, and reports a
@@ -236,7 +236,6 @@ pub fn normalize_violations(vs: &[Violation]) -> Vec<String> {
 /// On any VM error or heap-verification failure (failing the property or
 /// model-check run that called it).
 pub fn run_program(config: VmConfig, ops: &[FuzzOp]) -> Outcome {
-    let generational = config.generational.is_some();
     let mut vm = Vm::new(config);
     let n = vm.register_class("N", &["a", "b", "c"]);
     let owner_c = vm.register_class("Owner", &["prop"]);
@@ -295,7 +294,7 @@ pub fn run_program(config: VmConfig, ops: &[FuzzOp]) -> Outcome {
                 vm.collect().unwrap();
                 verify(&vm);
             }
-            FuzzOp::MinorGc if generational => {
+            FuzzOp::MinorGc => {
                 vm.collect_minor().unwrap();
                 verify(&vm);
             }

@@ -5,12 +5,10 @@
 //! on-path sentinel entries that carry root-to-object paths), the
 //! assertion engine's ownership phases with their deferred/pending
 //! queues, report-once suppression, force-true edge severing, the sweep
-//! in allocation order, and the generational minor cycle — including the
-//! runtime's stale-mark behavior when `minor-gc` runs without
-//! generational mode.  Divergence here is a soundness bug, so every
-//! branch corresponds to a branch in `gca_core::engine` /
-//! `gca_collector`; the differential test in `tests/check.rs` holds the
-//! two implementations together.
+//! in allocation order, and the generational minor cycle.  Divergence
+//! here is a soundness bug, so every branch corresponds to a branch in
+//! `gca_core::engine` / `gca_collector`; the differential test in
+//! `tests/check.rs` holds the two implementations together.
 
 use super::domain::{AbsState, ObjId, Reaction};
 
@@ -465,11 +463,10 @@ pub(crate) fn collect_major(st: &mut AbsState) -> CycleOutcome {
     }
 }
 
-/// One abstract minor collection.  No assertions are checked during the
-/// nursery trace; only the sweep hook feeds ownership retirement, so the
-/// sole possible reports are strict-owner-lifetime ones.  Faithfully
-/// reproduces the runtime's stale-mark quirk: reached non-old, non-young
-/// objects keep their mark bit until the next major sweep clears it.
+/// One abstract minor collection (generational mode only).  No
+/// assertions are checked during the nursery trace; only the sweep hook
+/// feeds ownership retirement, so the sole possible reports are
+/// strict-owner-lifetime ones.
 pub(crate) fn collect_minor(st: &mut AbsState) -> Vec<PredViolation> {
     let engine = !st.config.base_mode;
     let young = std::mem::take(&mut st.young);

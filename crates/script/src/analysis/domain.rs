@@ -75,8 +75,7 @@ pub(crate) struct AbsObj {
     pub old: bool,
     /// In the remembered set (write barrier hit).
     pub remembered: bool,
-    /// Mark bit; per-collection, but see the stale-mark quirk in
-    /// [`super::collect`].
+    /// Mark bit; per-collection.
     pub mark: bool,
     /// OWNED bit; per-collection.
     pub owned: bool,
@@ -149,12 +148,6 @@ pub(crate) struct AbsConfig {
     /// [`AbsConfig::copying`]: the worker count changes scheduling, never
     /// verdicts. Kept only for the copying rules.
     pub gc_threads: usize,
-    /// Card-marking minors (vs the remembered-set side list). Deliberately
-    /// *unused* like [`AbsConfig::copying`]: the two strategies reclaim and
-    /// promote identical object sets, so verdict prediction is
-    /// strategy-agnostic. The field exists so the analyzer validates the
-    /// key exactly like the interpreter.
-    pub minor_strategy_cards: bool,
     /// Global violation reaction.
     pub reaction: Reaction,
     /// Base mode: assertion hooks disabled.
@@ -185,7 +178,6 @@ impl Default for AbsConfig {
             generational: None,
             copying: false,
             gc_threads: 1,
-            minor_strategy_cards: true,
             reaction: Reaction::Log,
             base_mode: false,
         }
@@ -244,12 +236,10 @@ pub(crate) struct AbsState {
     /// the over-approximating access-graph collector (flag state such as
     /// report-once suppression can no longer be tracked exactly).
     pub summarized_ever: bool,
-    /// The per-site strawman domain is active (or a fixpoint failed to
-    /// converge): collections lose field-edge reasoning and treat every
-    /// live object as may-reachable.
-    pub graph_blind: bool,
-    /// A work cap tripped mid-replay, so the abstract heap may be
-    /// missing edges: collections must not claim Safe for anything.
+    /// A fixpoint failed to converge or a work cap tripped mid-replay,
+    /// so the abstract heap may be missing edges: collections lose
+    /// field-edge reasoning, treat every live object as may-reachable
+    /// and claim Safe for nothing.
     pub havoc: bool,
     /// Occupancy can no longer be tracked exactly (a summarized loop's
     /// total allocation is unknown): implicit-collection and

@@ -9,7 +9,7 @@
 //! diagnostics, including the Note-severity advisory lints that
 //! [`Analysis::render`](super::Analysis::render) omits.
 
-use super::{Analysis, DomainKind, Severity, SuggestOutcome};
+use super::{Analysis, Severity, SuggestOutcome};
 
 /// JSON string escaping per RFC 8259 (quote, backslash, control chars).
 fn esc(s: &str) -> String {
@@ -34,11 +34,7 @@ fn string_array(items: &[String]) -> String {
 }
 
 /// Renders a full `gca check` report as a single JSON object.
-pub fn analysis_to_json(a: &Analysis, domain: DomainKind) -> String {
-    let domain = match domain {
-        DomainKind::AccessGraph => "access-graph",
-        DomainKind::PerSite => "per-site",
-    };
+pub fn analysis_to_json(a: &Analysis) -> String {
     let errors = a
         .diagnostics
         .iter()
@@ -93,8 +89,7 @@ pub fn analysis_to_json(a: &Analysis, domain: DomainKind) -> String {
         })
         .collect();
     format!(
-        "{{\"tool\":\"gca-check\",\"domain\":\"{}\",\"errors\":{},\"warnings\":{},\"notes\":{},\"diagnostics\":[{}],\"collections\":[{}]}}",
-        domain,
+        "{{\"tool\":\"gca-check\",\"errors\":{},\"warnings\":{},\"notes\":{},\"diagnostics\":[{}],\"collections\":[{}]}}",
         errors,
         warnings,
         notes,
@@ -142,7 +137,7 @@ mod tests {
     #[test]
     fn check_json_is_well_formed_for_a_clean_script() {
         let a = super::super::analyze("class T\nnew a T\nroot a\ngc\n").unwrap();
-        let j = analysis_to_json(&a, DomainKind::AccessGraph);
+        let j = analysis_to_json(&a);
         assert!(j.starts_with("{\"tool\":\"gca-check\""), "{j}");
         assert!(j.contains("\"errors\":0"), "{j}");
         assert!(j.contains("\"summarized\":false"), "{j}");

@@ -37,27 +37,14 @@ mod summary;
 pub use diag::{Diagnostic, Severity};
 pub use suggest::{apply_suggestions, suggest, SuggestOutcome, Suggestion};
 
-use crate::ast::{parse_script, token_column, Command, Target};
+use crate::ast::{
+    parse_script, token_column, too_deep_message, Command, Target, MAX_BLOCK_NESTING,
+    MAX_BODY_DEPTH, MAX_CALL_DEPTH,
+};
 use crate::error::ScriptError;
 
 use collect::{Collection, CycleOutcome, PathStep, PredKind, PredViolation};
 use domain::{AbsClass, AbsObj, AbsState, InstanceLimit, ObjId, OwnerEntry, Reaction};
-
-/// Which abstract heap domain drives the analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DomainKind {
-    /// Bounded access graphs (the default): `repeat`/`proc` bodies are
-    /// exactly unrolled when small, otherwise summarized to a fixpoint
-    /// with per-site summary nodes and weak field edges — looping
-    /// scripts can still earn Safe (and, via unrolling, Must) verdicts.
-    #[default]
-    AccessGraph,
-    /// The PR 4 per-site strawman: no field-edge reasoning across
-    /// loop or procedure bodies, so every assertion a loop touches
-    /// degrades to May.  Kept as a comparison baseline; `gca check
-    /// --domain per-site` selects it.
-    PerSite,
-}
 
 /// What the analyzer predicts one collection will report.
 #[derive(Debug, Clone)]
@@ -143,18 +130,8 @@ impl Analysis {
 /// reported as error-severity [`Diagnostic`]s in the returned
 /// [`Analysis`] instead, with analysis stopping at the first one.
 pub fn analyze(src: &str) -> Result<Analysis, ScriptError> {
-    analyze_with(src, DomainKind::AccessGraph)
-}
-
-/// [`analyze`] with an explicit abstract domain — [`DomainKind::PerSite`]
-/// reproduces the PR 4 baseline's loop-blindness for comparison pins.
-///
-/// # Errors
-///
-/// Parse errors only, exactly like [`analyze`].
-pub fn analyze_with(src: &str, domain: DomainKind) -> Result<Analysis, ScriptError> {
     let commands = parse_script(src)?;
-    let mut an = Analyzer::new(src, domain);
+    let mut an = Analyzer::new(src);
     for (line, cmd) in &commands {
         an.execute(*line, cmd);
         if an.stopped {
@@ -210,7 +187,6 @@ struct DeadAssertOutcome {
 
 struct Analyzer<'a> {
     st: AbsState,
-    domain: DomainKind,
     lines: Vec<&'a str>,
     diagnostics: Vec<Diagnostic>,
     collections: Vec<GcPrediction>,
@@ -224,6 +200,9 @@ struct Analyzer<'a> {
     procs: std::collections::HashMap<String, Vec<(usize, Command)>>,
     /// Dynamic `call` nesting depth (mirrors the interpreter).
     call_depth: usize,
+    /// `call` and `repeat` bodies running inside one another (mirrors
+    /// the interpreter's bound).
+    body_depth: usize,
     /// `config call-depth` bound.
     call_limit: usize,
     /// Depth of summarized-block execution (allocations become summary
@@ -244,10 +223,9 @@ struct Analyzer<'a> {
 }
 
 impl<'a> Analyzer<'a> {
-    fn new(src: &'a str, domain: DomainKind) -> Analyzer<'a> {
+    fn new(src: &'a str) -> Analyzer<'a> {
         Analyzer {
             st: AbsState::new(),
-            domain,
             lines: src.lines().collect(),
             diagnostics: Vec::new(),
             collections: Vec::new(),
@@ -256,6 +234,7 @@ impl<'a> Analyzer<'a> {
             recording: None,
             procs: std::collections::HashMap::new(),
             call_depth: 0,
+            body_depth: 0,
             call_limit: DEFAULT_CALL_LIMIT,
             summarizing: 0,
             quiet: 0,
@@ -755,10 +734,17 @@ impl<'a> Analyzer<'a> {
             Command::EndProc => false,
             _ => {
                 let rec = self.recording.as_mut().expect("recording is open");
-                match cmd {
-                    Command::Repeat(_) => rec.open.push(true),
-                    Command::Proc(_) => rec.open.push(false),
-                    _ => {}
+                if matches!(cmd, Command::Repeat(_) | Command::Proc(_)) {
+                    // The outermost open block is level 1.
+                    if rec.open.len() + 2 > MAX_BLOCK_NESTING {
+                        self.fail(
+                            line,
+                            "block-structure",
+                            format!("blocks nest deeper than {MAX_BLOCK_NESTING} levels"),
+                        );
+                        return;
+                    }
+                    rec.open.push(matches!(cmd, Command::Repeat(_)));
                 }
                 rec.body.push((line, cmd.clone()));
                 return;
@@ -780,7 +766,12 @@ impl<'a> Analyzer<'a> {
         }
         let rec = self.recording.take().expect("checked above");
         match rec.kind {
-            BlockKind::Repeat { count } => self.run_repeat(count, &rec.body),
+            BlockKind::Repeat { count } => {
+                if self.enter_body(rec.line) {
+                    self.run_repeat(count, &rec.body);
+                    self.body_depth -= 1;
+                }
+            }
             BlockKind::Proc { name } => {
                 self.procs.insert(name, rec.body);
             }
@@ -796,9 +787,7 @@ impl<'a> Analyzer<'a> {
         self.fail(line, "block-structure", msg.to_owned());
     }
 
-    /// One `call`: exact depth-bounded replay under the access-graph
-    /// domain (mirroring the runtime), a blind summarized pass under
-    /// per-site.
+    /// One `call`: exact depth-bounded replay, mirroring the runtime.
     fn run_call(&mut self, line: usize, name: &str) {
         let Some(body) = self.procs.get(name).cloned() else {
             self.fail(
@@ -815,47 +804,40 @@ impl<'a> Analyzer<'a> {
         if self.call_depth == 0 && self.summarizing == 0 {
             self.replay_work = 0;
         }
-        match self.domain {
-            DomainKind::AccessGraph => {
-                self.call_depth += 1;
-                for (l, c) in &body {
-                    self.replay_work += 1;
-                    if self.replay_work > REPLAY_WORK_LIMIT {
-                        // Multi-call recursion can be exponential in the
-                        // depth bound; past the work cap the heap may be
-                        // missing edges, so go blind instead.
-                        self.st.exact = false;
-                        self.st.summarized_ever = true;
-                        self.st.occupancy_unknown = true;
-                        self.st.havoc = true;
-                        break;
-                    }
-                    self.execute(*l, c);
-                    if self.stopped {
-                        break;
-                    }
-                }
-                self.call_depth -= 1;
-            }
-            DomainKind::PerSite => {
-                // The strawman never replays: one blind summarized pass
-                // per call level.
+        if !self.enter_body(line) {
+            return;
+        }
+        self.call_depth += 1;
+        for (l, c) in &body {
+            self.replay_work += 1;
+            if self.replay_work > REPLAY_WORK_LIMIT {
+                // Multi-call recursion can be exponential in the depth
+                // bound; past the work cap the heap may be missing
+                // edges, so go blind instead.
                 self.st.exact = false;
                 self.st.summarized_ever = true;
                 self.st.occupancy_unknown = true;
-                self.st.graph_blind = true;
-                self.summarizing += 1;
-                self.call_depth += 1;
-                for (l, c) in &body {
-                    self.execute(*l, c);
-                    if self.stopped {
-                        break;
-                    }
-                }
-                self.call_depth -= 1;
-                self.summarizing -= 1;
+                self.st.havoc = true;
+                break;
+            }
+            self.execute(*l, c);
+            if self.stopped {
+                break;
             }
         }
+        self.call_depth -= 1;
+        self.body_depth -= 1;
+    }
+
+    /// Counts one more `call`/`repeat` body running, or fails at `line`
+    /// past [`MAX_BODY_DEPTH`] exactly like the interpreter.
+    fn enter_body(&mut self, line: usize) -> bool {
+        if self.body_depth >= MAX_BODY_DEPTH {
+            self.fail(line, "block-structure", too_deep_message());
+            return false;
+        }
+        self.body_depth += 1;
+        true
     }
 
     /// One `repeat`: small bodies unroll exactly (keeping Must/Safe
@@ -866,7 +848,7 @@ impl<'a> Analyzer<'a> {
             return;
         }
         let cost = count.saturating_mul(body.len());
-        if self.domain == DomainKind::AccessGraph && cost <= UNROLL_LIMIT {
+        if cost <= UNROLL_LIMIT {
             for _ in 0..count {
                 for (l, c) in body {
                     self.execute(*l, c);
@@ -892,9 +874,6 @@ impl<'a> Analyzer<'a> {
         self.st.exact = false;
         self.st.summarized_ever = true;
         self.st.occupancy_unknown = true;
-        if self.domain == DomainKind::PerSite {
-            self.st.graph_blind = true;
-        }
         self.summarizing += 1;
         self.quiet += 1;
         let mut converged = false;
@@ -1502,7 +1481,9 @@ impl<'a> Analyzer<'a> {
             }
             Command::MinorGc => {
                 self.st.started = true;
-                if !self.check_running(line) {
+                // Without generational mode the runtime's minor does
+                // nothing at all.
+                if !self.check_running(line) || self.st.config.generational.is_none() {
                     return;
                 }
                 if self.use_summary() {
@@ -1730,17 +1711,6 @@ impl<'a> Analyzer<'a> {
                 }
                 _ => false,
             },
-            "minor-strategy" => match value {
-                "cards" => {
-                    cfg.minor_strategy_cards = true;
-                    true
-                }
-                "remembered-set" => {
-                    cfg.minor_strategy_cards = false;
-                    true
-                }
-                _ => false,
-            },
             "reaction" => match value {
                 "log" => {
                     cfg.reaction = Reaction::Log;
@@ -1769,9 +1739,14 @@ impl<'a> Analyzer<'a> {
             },
             "gc-threads" => value.parse().map(|v| cfg.gc_threads = v).is_ok(),
             "call-depth" => match value.parse::<usize>() {
-                Ok(v) => {
+                Ok(v) if v <= MAX_CALL_DEPTH => {
                     self.call_limit = v;
                     true
+                }
+                Ok(_) => {
+                    let msg = format!("call-depth <n>, at most {MAX_CALL_DEPTH}");
+                    self.fail(line, "bad-config", msg);
+                    return;
                 }
                 Err(_) => false,
             },
@@ -1995,16 +1970,15 @@ mod tests {
     }
 
     #[test]
-    fn minor_gc_quirk_stale_marks_survive_to_the_major() {
-        // Without generational mode a minor-gc leaves mark bits set on
-        // everything it reaches; the next major sees the asserted-dead
-        // object as already marked and reports nothing (visit_marked
-        // does not check DEAD) — the analyzer must predict that too.
+    fn minor_gc_without_generations_leaves_no_stale_marks() {
+        // Without generational mode a minor-gc does nothing, so the next
+        // major still finds the asserted-dead object reachable.
         let a =
-            analyze("class T\nnew a T\nroot a\nassert-dead a\nminor-gc\ngc\nexpect-violations 0\n")
+            analyze("class T\nnew a T\nroot a\nassert-dead a\nminor-gc\ngc\nexpect-violations 1\n")
                 .unwrap();
-        assert!(errors(&a).is_empty(), "{:?}", a.diagnostics);
-        assert!(a.collections[1].must.is_empty());
+        assert_eq!(errors(&a), ["dead-reachable"], "{:?}", a.diagnostics);
+        assert_eq!(a.collections.len(), 1, "the minor is no collection");
+        assert_eq!(a.collections[0].must, ["dead-reachable T"]);
     }
 
     #[test]
@@ -2015,8 +1989,9 @@ mod tests {
         assert!(r.contains("1 error(s)"), "{r}");
     }
 
-    /// A list built by a large loop, then severed: per-site can only say
-    /// May, the access graph proves Safe.
+    /// A list built by a large loop, then severed: the access graph proves
+    /// Safe (the retired per-site domain said May; EXPERIMENTS.md,
+    /// "Retired strawmen").
     const LIST_LOOP: &str = "class Head next\nclass Cell next\nnew head Head\nroot head\ncopy prev head\nrepeat 200\nnew cell Cell\nset prev.next cell\ncopy prev cell\nend-repeat\nset head.next null\nassert-dead prev\ngc\nexpect-violations 0\n";
 
     #[test]
@@ -2028,11 +2003,6 @@ mod tests {
         assert!(gc.summarized);
         assert!(gc.must.is_empty());
         assert!(gc.may.is_empty());
-
-        let b = analyze_with(LIST_LOOP, DomainKind::PerSite).unwrap();
-        assert!(errors(&b).is_empty(), "{:?}", b.diagnostics);
-        assert_eq!(warnings(&b), ["dead-reachable"], "{:?}", b.diagnostics);
-        assert_eq!(b.collections[0].may, ["dead-reachable Cell"]);
     }
 
     #[test]
@@ -2058,19 +2028,6 @@ mod tests {
         .unwrap();
         assert!(errors(&a).is_empty(), "{:?}", a.diagnostics);
         assert!(a.diagnostics.is_empty(), "{:?}", a.diagnostics);
-    }
-
-    #[test]
-    fn per_site_is_blind_through_procs() {
-        let b = analyze_with(
-            "class T\nproc make\nnew t T\nend-proc\ncall make\nassert-dead t\ngc\n",
-            DomainKind::PerSite,
-        )
-        .unwrap();
-        // t is genuinely unreachable (never rooted), but the blind
-        // domain cannot prove it: May, not Safe, and never Must.
-        assert!(errors(&b).is_empty(), "{:?}", b.diagnostics);
-        assert_eq!(warnings(&b), ["dead-reachable"], "{:?}", b.diagnostics);
     }
 
     #[test]
@@ -2143,5 +2100,51 @@ mod tests {
         let a = analyze("class T\nrepeat 2\nnew a T\n").unwrap();
         assert_eq!(errors(&a), ["block-structure"]);
         assert_eq!(a.diagnostics[0].line, 2);
+    }
+
+    #[test]
+    fn outside_input_caps_fail_like_the_interpreter() {
+        for (src, line) in [
+            (format!("config call-depth {}\n", MAX_CALL_DEPTH + 1), 1),
+            (
+                format!("config gc-threads {}\n", gc_assertions::MAX_GC_THREADS + 1),
+                1,
+            ),
+            (
+                format!(
+                    "class T\n{}new a T\n{}",
+                    "repeat 1\n".repeat(MAX_BLOCK_NESTING + 1),
+                    "end-repeat\n".repeat(MAX_BLOCK_NESTING + 1)
+                ),
+                MAX_BLOCK_NESTING + 2,
+            ),
+        ] {
+            let a = analyze(&src).unwrap();
+            assert!(a.has_errors(), "{src}");
+            let d = &a.diagnostics[0];
+            assert_eq!(d.line, line, "{d}");
+        }
+        let deepest = format!(
+            "class T\n{}new a T\n{}",
+            "repeat 1\n".repeat(MAX_BLOCK_NESTING),
+            "end-repeat\n".repeat(MAX_BLOCK_NESTING)
+        );
+        assert!(!analyze(&deepest).unwrap().has_errors());
+    }
+
+    #[test]
+    fn body_depth_cap_fails_like_the_interpreter() {
+        let past = format!(
+            "config call-depth {MAX_CALL_DEPTH}\nclass T\nproc p\nrepeat 1\ncall p\nend-repeat\nend-proc\ncall p\n"
+        );
+        let a = std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(move || analyze(&past).unwrap())
+            .unwrap()
+            .join()
+            .unwrap();
+        let d = &a.diagnostics[0];
+        assert_eq!((d.line, d.code), (5, "block-structure"), "{d}");
+        assert!(d.message.contains("more than 1088 deep"), "{d}");
     }
 }

@@ -9,21 +9,19 @@
 //!
 //! * **may-reachability** is a BFS over *all* edges — strong fields plus
 //!   the weak [`summary_edges`](super::domain::AbsObj::summary_edges) —
-//!   seeded from every root, global, and stale-marked object.  It
+//!   seeded from every root and global.  It
 //!   over-approximates runtime reachability at every iteration of the
 //!   summarized loop, so:
 //! * objects that are **not** may-reachable are provably unreachable and
-//!   are swept (this is where looping scripts earn Safe verdicts the
-//!   per-site domain cannot give), and
+//!   are swept (this is where looping scripts earn Safe verdicts), and
 //! * every assertion that *could* fire on a may-reachable object becomes
 //!   a **may** verdict — the must-set of a summary collection is always
 //!   empty, keeping the differential soundness contract trivially.
 //!
-//! Under [`graph_blind`](super::domain::AbsState::graph_blind) (the
-//! per-site strawman domain, or a fixpoint that failed to converge) the
-//! BFS is replaced by "every live object is may-reachable": no Safe
-//! verdicts, nothing swept — the behavior the PR 4 domain would have had
-//! if it met a loop.
+//! Under [`havoc`](super::domain::AbsState::havoc) (a fixpoint that
+//! failed to converge, or a replay past its work cap) the BFS is
+//! replaced by "every live object is may-reachable": no Safe verdicts,
+//! nothing swept.
 
 use super::collect::{retire, CycleOutcome, PathStep, PredKind, PredViolation};
 use super::domain::{AbsState, ObjId};
@@ -35,21 +33,13 @@ fn may_reach(st: &AbsState) -> (Vec<bool>, Vec<Option<(ObjId, usize)>>) {
     let n = st.objects.len();
     let mut may = vec![false; n];
     let mut parent: Vec<Option<(ObjId, usize)>> = vec![None; n];
-    if st.graph_blind || st.havoc {
+    if st.havoc {
         for (i, o) in st.objects.iter().enumerate() {
             may[i] = o.alive;
         }
         return (may, parent);
     }
     let mut queue: Vec<ObjId> = st.gather_roots();
-    // Stale mark bits (a `minor-gc` without generational mode) keep an
-    // object alive through the next major at runtime: treat them as
-    // roots so the sweep below stays an under-approximation of nothing.
-    for (i, o) in st.objects.iter().enumerate() {
-        if o.alive && o.mark {
-            queue.push(i);
-        }
-    }
     while let Some(o) = queue.pop() {
         if may[o] || !st.objects[o].alive {
             continue;
@@ -76,7 +66,7 @@ fn may_reach(st: &AbsState) -> (Vec<bool>, Vec<Option<(ObjId, usize)>>) {
 /// Witness path root→`obj` from the BFS parent chain (empty when path
 /// tracking is off or the domain is blind).
 fn witness_path(st: &AbsState, parent: &[Option<(ObjId, usize)>], obj: ObjId) -> Vec<PathStep> {
-    if !st.config.path_tracking || st.graph_blind || st.havoc {
+    if !st.config.path_tracking || st.havoc {
         return Vec::new();
     }
     let mut rev = vec![PathStep { obj, field: None }];
@@ -212,32 +202,20 @@ pub(crate) fn collect_summary(st: &mut AbsState) -> CycleOutcome {
     }
 }
 
-/// One summary minor collection: promote-everything, sweep-nothing — a
-/// sound over-approximation that makes no claims (minors report nothing
-/// in summary mode).
+/// One summary minor collection (generational mode only):
+/// promote-everything, sweep-nothing — a sound over-approximation that
+/// makes no claims (minors report nothing in summary mode).
 pub(crate) fn collect_minor_summary(st: &mut AbsState) -> Vec<PredViolation> {
-    if st.config.generational.is_some() {
-        let young = std::mem::take(&mut st.young);
-        for y in young {
-            if st.objects[y].alive {
-                st.objects[y].old = true;
-            }
-        }
-        for o in &mut st.objects {
-            o.remembered = false;
-        }
-        st.remembered.clear();
-    } else {
-        // Stale-mark quirk, over-approximated: a non-generational minor
-        // leaves mark bits on everything it reaches, pinning those
-        // objects through the next major.  Mark every live object so
-        // the following summary major claims nothing Safe about them.
-        for o in &mut st.objects {
-            if o.alive {
-                o.mark = true;
-            }
+    let young = std::mem::take(&mut st.young);
+    for y in young {
+        if st.objects[y].alive {
+            st.objects[y].old = true;
         }
     }
+    for o in &mut st.objects {
+        o.remembered = false;
+    }
+    st.remembered.clear();
     st.minors_since_major += 1;
     Vec::new()
 }

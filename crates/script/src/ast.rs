@@ -143,6 +143,28 @@ pub enum Command {
     },
 }
 
+/// Largest `config call-depth`: deeper recursion would overflow the
+/// interpreter's and the analyzer's native stacks, which replay a call
+/// as a nested Rust call.
+pub(crate) const MAX_CALL_DEPTH: usize = 1024;
+
+/// Most `repeat`/`proc` blocks that may be open inside one another.
+/// Recording re-buffers every inner body once per enclosing level, so
+/// the cost grows with the square of the nesting.
+pub(crate) const MAX_BLOCK_NESTING: usize = 64;
+
+/// Most `call` and `repeat` bodies that may run inside one another. A
+/// recursion at the deepest `call-depth` inside the deepest block
+/// nesting fits; a recursive call inside nested loops can otherwise
+/// multiply the two caps.
+pub(crate) const MAX_BODY_DEPTH: usize = MAX_CALL_DEPTH + MAX_BLOCK_NESTING;
+
+/// The error for a `call` or `repeat` body that would run past
+/// [`MAX_BODY_DEPTH`].
+pub(crate) fn too_deep_message() -> String {
+    format!("`call` and `repeat` bodies run more than {MAX_BODY_DEPTH} deep")
+}
+
 fn err(line: usize, kind: ScriptErrorKind) -> ScriptError {
     ScriptError::new(line, kind)
 }

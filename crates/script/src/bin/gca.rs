@@ -6,7 +6,6 @@
 //! gca -                       # read the script from stdin
 //! gca check <script.gca>      # static analysis only: predict verdicts
 //!     [--json]                # machine-readable report on stdout
-//!     [--domain access-graph | per-site]
 //! gca suggest <script.gca>    # propose verified assertion placements
 //!     [--json]                # machine-readable placements
 //!     [--apply]               # print the annotated script on stdout
@@ -37,10 +36,9 @@ use std::io::Read;
 use std::process::ExitCode;
 
 use gca_script::analysis::json;
-use gca_script::{analyze_with, apply_suggestions, suggest, DomainKind, Interpreter};
+use gca_script::{analyze, apply_suggestions, suggest, Interpreter};
 
-const USAGE: &str =
-    "usage: gca [check [--json] [--domain D] | suggest [--json | --apply] | --check] \
+const USAGE: &str = "usage: gca [check [--json] | suggest [--json | --apply] | --check] \
                      <script.gca | ->  |  gca soak [options]";
 
 const SOAK_USAGE: &str = "\
@@ -217,11 +215,11 @@ fn read_source(path: &str) -> Result<String, ExitCode> {
 }
 
 /// Exit 0 = clean, 1 = parse error, 2 = must-violate present.
-fn check(source: &str, domain: DomainKind, as_json: bool) -> ExitCode {
-    match analyze_with(source, domain) {
+fn check(source: &str, as_json: bool) -> ExitCode {
+    match analyze(source) {
         Ok(analysis) => {
             if as_json {
-                println!("{}", json::analysis_to_json(&analysis, domain));
+                println!("{}", json::analysis_to_json(&analysis));
             } else {
                 print!("{}", analysis.render());
             }
@@ -269,30 +267,16 @@ struct CheckArgs {
     path: String,
     json: bool,
     apply: bool,
-    domain: DomainKind,
 }
 
 fn parse_check_args(cmd: &str, args: &[String]) -> Result<CheckArgs, String> {
     let mut path = None;
     let mut json = false;
     let mut apply = false;
-    let mut domain = DomainKind::AccessGraph;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    for arg in args {
         match arg.as_str() {
             "--json" => json = true,
             "--apply" if cmd == "suggest" => apply = true,
-            "--domain" if cmd == "check" => {
-                domain = match it.next().map(String::as_str) {
-                    Some("access-graph") => DomainKind::AccessGraph,
-                    Some("per-site") => DomainKind::PerSite,
-                    other => {
-                        return Err(format!(
-                            "--domain wants access-graph or per-site, got {other:?}"
-                        ))
-                    }
-                };
-            }
             flag if flag.starts_with('-') && flag != "-" => {
                 return Err(format!("unknown flag {flag} for gca {cmd}"));
             }
@@ -307,12 +291,7 @@ fn parse_check_args(cmd: &str, args: &[String]) -> Result<CheckArgs, String> {
         return Err("--json and --apply are mutually exclusive".into());
     }
     let path = path.ok_or_else(|| format!("gca {cmd} needs a script path"))?;
-    Ok(CheckArgs {
-        path,
-        json,
-        apply,
-        domain,
-    })
+    Ok(CheckArgs { path, json, apply })
 }
 
 fn run(source: &str) -> ExitCode {
@@ -353,7 +332,7 @@ fn main() -> ExitCode {
                 Err(code) => return code,
             };
             if cmd == "check" {
-                check(&source, parsed.domain, parsed.json)
+                check(&source, parsed.json)
             } else {
                 suggest_cmd(&source, parsed.json, parsed.apply)
             }
@@ -365,7 +344,7 @@ fn main() -> ExitCode {
             };
             // Pre-flight: diagnostics go to stderr so the run's output
             // stays clean on stdout.
-            match analyze_with(&source, DomainKind::AccessGraph) {
+            match analyze(&source) {
                 Ok(analysis) => eprint!("{}", analysis.render()),
                 Err(e) => {
                     eprintln!("error: {e}");

@@ -2,11 +2,12 @@
 
 use std::collections::HashMap;
 
-use gc_assertions::{
-    ClassId, CollectorKind, GcReport, MinorStrategy, Mode, ObjRef, Reaction, Vm, VmConfig,
-};
+use gc_assertions::{ClassId, CollectorKind, GcReport, Mode, ObjRef, Reaction, Vm, VmConfig};
 
-use crate::ast::{parse_script, Command, Target};
+use crate::ast::{
+    parse_script, too_deep_message, Command, Target, MAX_BLOCK_NESTING, MAX_BODY_DEPTH,
+    MAX_CALL_DEPTH,
+};
 use crate::error::{ScriptError, ScriptErrorKind};
 
 /// Everything a script run produced: the printed lines and final state
@@ -88,6 +89,8 @@ pub struct Interpreter {
     procs: HashMap<String, Vec<(usize, Command)>>,
     /// Current dynamic `call` nesting depth.
     call_depth: usize,
+    /// `call` and `repeat` bodies running inside one another.
+    body_depth: usize,
     /// Depth bound: a `call` at this depth is a silent no-op, which is
     /// what makes unconditionally recursive procedures terminate.
     call_limit: usize,
@@ -100,8 +103,14 @@ impl Interpreter {
     /// Creates an interpreter with the default VM configuration (tweak it
     /// with `config` commands before the first executing command).
     pub fn new() -> Interpreter {
+        Interpreter::with_config(VmConfig::builder().build())
+    }
+
+    /// Creates an interpreter whose VM starts from `config`; the script's
+    /// own `config` lines still apply on top of it.
+    pub fn with_config(config: VmConfig) -> Interpreter {
         Interpreter {
-            config: VmConfig::builder().build(),
+            config,
             vm: None,
             vars: HashMap::new(),
             classes: HashMap::new(),
@@ -110,6 +119,7 @@ impl Interpreter {
             recording: None,
             procs: HashMap::new(),
             call_depth: 0,
+            body_depth: 0,
             call_limit: DEFAULT_CALL_LIMIT,
         }
     }
@@ -122,10 +132,17 @@ impl Interpreter {
     /// with its script line.
     pub fn run_script(src: &str) -> Result<Output, ScriptError> {
         let mut interp = Interpreter::new();
+        interp.run(src)?;
+        Ok(interp.finish())
+    }
+
+    /// Parses and executes `src` to the end, failing on a block left
+    /// open.
+    pub(crate) fn run(&mut self, src: &str) -> Result<(), ScriptError> {
         for (line, cmd) in parse_script(src)? {
-            interp.execute(line, &cmd)?;
+            self.execute(line, &cmd)?;
         }
-        if let Some(rec) = &interp.recording {
+        if let Some(rec) = &self.recording {
             let msg = match &rec.kind {
                 BlockKind::Repeat { .. } => {
                     "`repeat` opened here is never closed by `end-repeat`".to_owned()
@@ -139,7 +156,7 @@ impl Interpreter {
                 ScriptErrorKind::BadArguments(msg),
             ));
         }
-        Ok(interp.finish())
+        Ok(())
     }
 
     /// Finishes the run, yielding the output.
@@ -153,10 +170,13 @@ impl Interpreter {
     }
 
     fn vm(&mut self) -> &mut Vm {
-        if self.vm.is_none() {
-            self.vm = Some(Vm::new(self.config.clone()));
-        }
-        self.vm.as_mut().expect("just initialized")
+        self.vm.get_or_insert_with(|| Vm::new(self.config.clone()))
+    }
+
+    /// The VM, started now if no command has started it yet.
+    pub(crate) fn into_vm(mut self) -> Vm {
+        self.vm();
+        self.vm.expect("just started")
     }
 
     /// The report from the most recent explicit `gc` command, if any.
@@ -235,11 +255,6 @@ impl Interpreter {
                 "copying" => CollectorKind::Copying,
                 _ => return Err(bad("collector mark-sweep|copying")),
             }),
-            "minor-strategy" => cfg.minor_strategy(match value {
-                "cards" => MinorStrategy::Cards,
-                "remembered-set" => MinorStrategy::RememberedSet,
-                _ => return Err(bad("minor-strategy cards|remembered-set")),
-            }),
             "reaction" => cfg.reaction(match value {
                 "log" => Reaction::Log,
                 "halt" => Reaction::Halt,
@@ -253,7 +268,11 @@ impl Interpreter {
             }),
             "gc-threads" => cfg.gc_threads(value.parse().map_err(|_| bad("gc-threads <workers>"))?),
             "call-depth" => {
-                self.call_limit = value.parse().map_err(|_| bad("call-depth <n>"))?;
+                self.call_limit = value
+                    .parse()
+                    .ok()
+                    .filter(|&n| n <= MAX_CALL_DEPTH)
+                    .ok_or_else(|| bad(&format!("call-depth <n>, at most {MAX_CALL_DEPTH}")))?;
                 cfg
             }
             _ => return Err(bad("unknown config key")),
@@ -278,60 +297,76 @@ impl Interpreter {
     /// undefined proc), tagged with `line`.
     pub fn execute(&mut self, line: usize, cmd: &Command) -> Result<(), ScriptError> {
         if self.recording.is_some() {
-            return self.record(line, cmd);
+            return match self.record(line, cmd) {
+                Ok(Some(closed)) => self.run_repeat(closed),
+                other => other.map(|_| ()),
+            };
         }
+        // Every other arm lives in its own function: `execute` is on the
+        // native stack once per running `call`/`repeat` body, so its
+        // frame stays small.
         match cmd {
-            Command::Repeat(count) => {
-                self.recording = Some(Recording {
-                    kind: BlockKind::Repeat { count: *count },
-                    line,
-                    open: Vec::new(),
-                    body: Vec::new(),
-                });
-                Ok(())
+            Command::Repeat(_) | Command::Proc(_) | Command::EndRepeat | Command::EndProc => {
+                self.open_block(line, cmd)
             }
-            Command::Proc(name) => {
-                self.recording = Some(Recording {
-                    kind: BlockKind::Proc { name: name.clone() },
-                    line,
-                    open: Vec::new(),
-                    body: Vec::new(),
-                });
-                Ok(())
-            }
-            Command::EndRepeat => Err(ScriptError::new(
-                line,
-                ScriptErrorKind::BadArguments("end-repeat without an open `repeat`".to_owned()),
-            )),
-            Command::EndProc => Err(ScriptError::new(
-                line,
-                ScriptErrorKind::BadArguments("end-proc without an open `proc`".to_owned()),
-            )),
             Command::Call(name) => self.run_call(line, name),
             _ => self.execute_one(line, cmd),
         }
     }
 
+    /// Opens a `repeat`/`proc` recording; a stray closer is an error.
+    fn open_block(&mut self, line: usize, cmd: &Command) -> Result<(), ScriptError> {
+        let kind = match cmd {
+            Command::Repeat(count) => BlockKind::Repeat { count: *count },
+            Command::Proc(name) => BlockKind::Proc { name: name.clone() },
+            _ => {
+                let opener = if matches!(cmd, Command::EndRepeat) {
+                    "repeat"
+                } else {
+                    "proc"
+                };
+                return Err(ScriptError::new(
+                    line,
+                    ScriptErrorKind::BadArguments(format!(
+                        "end-{opener} without an open `{opener}`"
+                    )),
+                ));
+            }
+        };
+        self.recording = Some(Recording {
+            kind,
+            line,
+            open: Vec::new(),
+            body: Vec::new(),
+        });
+        Ok(())
+    }
+
     /// Buffers `cmd` into the open recording, closing the block when the
-    /// matching `end-repeat`/`end-proc` arrives.
-    fn record(&mut self, line: usize, cmd: &Command) -> Result<(), ScriptError> {
+    /// matching `end-repeat`/`end-proc` arrives: a closed `proc` is
+    /// stored, a closed `repeat` is returned for the caller to run.
+    fn record(&mut self, line: usize, cmd: &Command) -> Result<Option<Recording>, ScriptError> {
         let rec = self.recording.as_mut().expect("recording is open");
         let closes_repeat = match cmd {
-            Command::Repeat(_) => {
-                rec.open.push(true);
+            Command::Repeat(_) | Command::Proc(_) => {
+                // The outermost open block is level 1.
+                if rec.open.len() + 2 > MAX_BLOCK_NESTING {
+                    return Err(ScriptError::new(
+                        line,
+                        ScriptErrorKind::BadArguments(format!(
+                            "blocks nest deeper than {MAX_BLOCK_NESTING} levels"
+                        )),
+                    ));
+                }
+                rec.open.push(matches!(cmd, Command::Repeat(_)));
                 rec.body.push((line, cmd.clone()));
-                return Ok(());
-            }
-            Command::Proc(_) => {
-                rec.open.push(false);
-                rec.body.push((line, cmd.clone()));
-                return Ok(());
+                return Ok(None);
             }
             Command::EndRepeat => true,
             Command::EndProc => false,
             _ => {
                 rec.body.push((line, cmd.clone()));
-                return Ok(());
+                return Ok(None);
             }
         };
         let mismatch = |line: usize, closes_repeat: bool| {
@@ -348,7 +383,7 @@ impl Interpreter {
                 return Err(mismatch(line, closes_repeat));
             }
             rec.body.push((line, cmd.clone()));
-            return Ok(());
+            return Ok(None);
         }
         // Closes the outermost open block.
         if matches!(rec.kind, BlockKind::Repeat { .. }) != closes_repeat {
@@ -356,18 +391,31 @@ impl Interpreter {
         }
         let rec = self.recording.take().expect("recording is open");
         match rec.kind {
-            BlockKind::Repeat { count } => {
-                for _ in 0..count {
-                    for (l, c) in &rec.body {
-                        self.execute(*l, c)?;
-                    }
-                }
-            }
+            BlockKind::Repeat { .. } => return Ok(Some(rec)),
             BlockKind::Proc { name } => {
                 self.procs.insert(name, rec.body);
             }
         }
-        Ok(())
+        Ok(None)
+    }
+
+    /// Runs a closed `repeat` body its count of times.
+    fn run_repeat(&mut self, rec: Recording) -> Result<(), ScriptError> {
+        let BlockKind::Repeat { count } = rec.kind else {
+            unreachable!("only a closed `repeat` is replayed")
+        };
+        self.enter_body(rec.line)?;
+        let mut result = Ok(());
+        'replay: for _ in 0..count {
+            for (l, c) in &rec.body {
+                result = self.execute(*l, c);
+                if result.is_err() {
+                    break 'replay;
+                }
+            }
+        }
+        self.body_depth -= 1;
+        result
     }
 
     /// Runs a recorded procedure body; a call at the depth bound is a
@@ -384,16 +432,31 @@ impl Interpreter {
         if self.call_depth >= self.call_limit {
             return Ok(());
         }
+        self.enter_body(line)?;
         self.call_depth += 1;
         let mut result = Ok(());
         for (l, c) in &body {
-            if let Err(e) = self.execute(*l, c) {
-                result = Err(e);
+            result = self.execute(*l, c);
+            if result.is_err() {
                 break;
             }
         }
         self.call_depth -= 1;
+        self.body_depth -= 1;
         result
+    }
+
+    /// Counts one more `call`/`repeat` body running, or fails at `line`
+    /// past [`MAX_BODY_DEPTH`] (each body is a level of native stack).
+    fn enter_body(&mut self, line: usize) -> Result<(), ScriptError> {
+        if self.body_depth >= MAX_BODY_DEPTH {
+            return Err(ScriptError::new(
+                line,
+                ScriptErrorKind::BadArguments(too_deep_message()),
+            ));
+        }
+        self.body_depth += 1;
+        Ok(())
     }
 
     /// Executes one non-structural command against the VM.
@@ -957,5 +1020,85 @@ end-repeat
         let out =
             Interpreter::run_script("config gc-threads 2\nclass T\nnew a T\nroot a\ngc\n").unwrap();
         assert_eq!(out.collections, 1);
+    }
+
+    #[test]
+    fn minor_gc_without_generations_leaves_no_stale_marks() {
+        let out = Interpreter::run_script(
+            "class T\nnew a T\nroot a\nassert-dead a\nminor-gc\ngc\nexpect-violations 1\n",
+        )
+        .unwrap();
+        assert_eq!(out.total_violations, 1);
+        assert_eq!(
+            out.minor_collections, 0,
+            "a minor without a nursery is no collection"
+        );
+    }
+
+    #[test]
+    fn outside_input_caps_are_errors_just_past_their_value() {
+        // `call-depth` and `gc-threads` are checked at the config line,
+        // before any VM (or mark thread) exists.
+        let ok = format!("config call-depth {MAX_CALL_DEPTH}\n");
+        Interpreter::run_script(&ok).unwrap();
+        let e = Interpreter::run_script(&format!("config call-depth {}\n", MAX_CALL_DEPTH + 1))
+            .unwrap_err();
+        assert!(e.to_string().contains("at most 1024"), "{e}");
+
+        let threads = gc_assertions::MAX_GC_THREADS;
+        Interpreter::run_script(&format!("config gc-threads {threads}\n")).unwrap();
+        let e =
+            Interpreter::run_script(&format!("config gc-threads {}\n", threads + 1)).unwrap_err();
+        assert_eq!(e.line, 1);
+        assert!(e.to_string().contains("at most 64"), "{e}");
+
+        // Nesting: the deepest allowed block runs, one more level is a
+        // block-structure error at the opening line of that level.
+        let nest = |n: usize| {
+            format!(
+                "class T\n{}new a T\nroot a\n{}",
+                "repeat 1\n".repeat(n),
+                "end-repeat\n".repeat(n)
+            )
+        };
+        let out = Interpreter::run_script(&format!(
+            "{}expect-instances T 1\n",
+            nest(MAX_BLOCK_NESTING)
+        ))
+        .unwrap();
+        assert_eq!(out.total_violations, 0);
+        let e = Interpreter::run_script(&nest(MAX_BLOCK_NESTING + 1)).unwrap_err();
+        assert_eq!(e.line, MAX_BLOCK_NESTING + 2, "{e}");
+        assert!(e.to_string().contains("nest deeper than 64"), "{e}");
+    }
+
+    #[test]
+    fn body_depth_cap_is_an_error_not_a_stack_overflow() {
+        // A recursion at the deepest `call-depth` inside the deepest
+        // nesting runs; a `repeat` inside the recursion takes it one body
+        // past the cap per call. (A thread with a roomy stack keeps the
+        // harness's own frames out of the measurement.)
+        let at_cap = format!(
+            "config call-depth {MAX_CALL_DEPTH}\nclass T\nproc p\ncall p\nend-proc\n{}call p\n{}",
+            "repeat 1\n".repeat(MAX_BLOCK_NESTING),
+            "end-repeat\n".repeat(MAX_BLOCK_NESTING)
+        );
+        let past = format!(
+            "config call-depth {MAX_CALL_DEPTH}\nclass T\nproc p\nrepeat 1\ncall p\nend-repeat\nend-proc\ncall p\n"
+        );
+        let (ok, err) = std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(move || {
+                (
+                    Interpreter::run_script(&at_cap).map(|_| ()),
+                    Interpreter::run_script(&past).unwrap_err(),
+                )
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        ok.unwrap();
+        assert_eq!(err.line, 5, "{err}");
+        assert!(err.to_string().contains("more than 1088 deep"), "{err}");
     }
 }

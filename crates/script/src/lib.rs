@@ -35,6 +35,10 @@
 //! The `expect-*` commands make scripts self-checking, so scenario files
 //! double as integration tests (see `tests/scripts.rs`).
 //!
+//! The same language records live runs: a [`Recorder`] drives a VM and
+//! writes each heap operation as a script line, and [`replay`] re-runs
+//! that text under another configuration (say, with path tracking on).
+//!
 //! Scripts can also be checked *without* running them: the [`analysis`]
 //! module (surfaced as `gca check <script>`) forward-interprets the
 //! command stream over an abstract heap and predicts each collection's
@@ -68,11 +72,13 @@ pub mod analysis;
 mod ast;
 mod error;
 mod interp;
+mod recorder;
 
 pub use analysis::{
-    analyze, analyze_with, apply_suggestions, suggest, Analysis, Diagnostic, DomainKind,
-    GcPrediction, Severity, SuggestOutcome, Suggestion,
+    analyze, apply_suggestions, suggest, Analysis, Diagnostic, GcPrediction, Severity,
+    SuggestOutcome, Suggestion,
 };
 pub use ast::{parse_line, parse_script, Command, Target};
 pub use error::{ScriptError, ScriptErrorKind, SourceLocation};
 pub use interp::{Interpreter, Output};
+pub use recorder::{replay, Recorder};

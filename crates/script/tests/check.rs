@@ -8,8 +8,8 @@ use std::collections::{HashMap, VecDeque};
 
 use gca_script::analysis::json;
 use gca_script::{
-    analyze, analyze_with, apply_suggestions, parse_script, suggest, Analysis, DomainKind,
-    GcPrediction, Interpreter, Severity,
+    analyze, apply_suggestions, parse_script, suggest, Analysis, GcPrediction, Interpreter,
+    Severity,
 };
 
 fn script_path(name: &str) -> String {
@@ -291,42 +291,23 @@ fn differential_must_set_is_sound() {
     }
 }
 
-/// The access graph earns Safe on `list_builder.gca`'s severed chain —
-/// the before/after comparison against the per-site strawman, pinned:
-/// the per-site domain is loop-blind and can only answer May.
+/// The access graph earns Safe on `list_builder.gca`'s severed chain
+/// (the retired per-site domain answered May here; EXPERIMENTS.md,
+/// "Retired strawmen").
 #[test]
 fn list_builder_loop_summary_beats_per_site() {
-    let src = read_script("list_builder.gca");
-
-    let graph = analyze_with(&src, DomainKind::AccessGraph)
-        .unwrap_or_else(|e| panic!("list_builder.gca: {e}"));
-    assert!(!graph.has_errors(), "{:?}", graph.diagnostics);
+    let a = check("list_builder.gca");
+    assert!(!a.has_errors(), "{:?}", a.diagnostics);
     assert!(
-        graph
-            .diagnostics
+        a.diagnostics
             .iter()
             .all(|d| d.severity != Severity::Warning),
         "{:?}",
-        graph.diagnostics
+        a.diagnostics
     );
-    let gc = &graph.collections[0];
+    let gc = &a.collections[0];
     assert!(gc.summarized, "the 200-iteration loop must be summarized");
     assert!(gc.must.is_empty() && gc.may.is_empty(), "Safe verdict");
-
-    let per_site =
-        analyze_with(&src, DomainKind::PerSite).unwrap_or_else(|e| panic!("list_builder.gca: {e}"));
-    let warnings: Vec<&str> = per_site
-        .diagnostics
-        .iter()
-        .filter(|d| d.severity == Severity::Warning)
-        .map(|d| d.code)
-        .collect();
-    assert_eq!(
-        warnings,
-        ["dead-reachable"],
-        "per-site must downgrade the severed chain to May"
-    );
-    assert_eq!(per_site.collections[0].may, ["dead-reachable Cell"]);
 }
 
 /// One `--json` report pinned verbatim as the machine-readable contract
@@ -335,8 +316,8 @@ fn list_builder_loop_summary_beats_per_site() {
 fn json_report_is_pinned_for_list_builder() {
     let a = check("list_builder.gca");
     assert_eq!(
-        json::analysis_to_json(&a, DomainKind::AccessGraph),
-        "{\"tool\":\"gca-check\",\"domain\":\"access-graph\",\"errors\":0,\"warnings\":0,\
+        json::analysis_to_json(&a),
+        "{\"tool\":\"gca-check\",\"errors\":0,\"warnings\":0,\
          \"notes\":1,\"diagnostics\":[{\"line\":24,\"column\":1,\"severity\":\"note\",\
          \"code\":\"redundant-assert-dead\",\"message\":\"this `assert-dead` is proven Safe \
          at every collection that examines it — the assertion can be removed\",\"notes\":[]}],\

@@ -2,25 +2,34 @@
 //! paper's ~3% overhead enables, made concrete.
 //!
 //! ```text
-//! cargo run -p gca-replay --example record_replay
+//! cargo run -p gca-script --example record_replay [-- SCRIPT_PATH]
 //! ```
+//!
+//! The recording is a plain `.gca` script, written to `SCRIPT_PATH`
+//! (default: `record_replay.gca` in the system temp directory); `gca
+//! SCRIPT_PATH` runs it again.
 
 use gc_assertions::VmConfig;
-use gca_replay::{decode, encode, replay, Recorder};
+use gca_script::{replay, Recorder};
 
-fn main() -> Result<(), gc_assertions::VmError> {
+fn main() -> Result<(), Box<dyn std::error::Error>> {
+    let path = std::env::args().nth(1).map_or_else(
+        || std::env::temp_dir().join("record_replay.gca"),
+        Into::into,
+    );
+
     // --- production: path tracking OFF (cheapest configuration) -------
     let mut rec = Recorder::new(VmConfig::builder().path_tracking(false).build());
-    let registry = rec.register_class("SessionRegistry", &["head"]);
-    let session = rec.register_class("Session", &["next"]);
+    let registry = rec.register_class("SessionRegistry", &["head"])?;
+    let session = rec.register_class("Session", &["next"])?;
 
-    let reg = rec.alloc(registry, 1, 0)?;
+    let reg = rec.alloc(registry, 0)?;
     rec.add_root(reg)?;
     // Sessions come and go; one "logged-out" session stays linked.
-    let mut prev = rec.alloc(session, 1, 8)?;
+    let mut prev = rec.alloc(session, 8)?;
     rec.set_field(reg, 0, prev)?;
     for _ in 0..5 {
-        let s = rec.alloc(session, 1, 8)?;
+        let s = rec.alloc(session, 8)?;
         rec.set_field(s, 0, prev)?;
         rec.set_field(reg, 0, s)?;
         prev = s;
@@ -29,7 +38,7 @@ fn main() -> Result<(), gc_assertions::VmError> {
     rec.assert_dead(leaked)?;
     rec.collect()?;
 
-    let (prod_vm, log) = rec.finish();
+    let (prod_vm, script) = rec.finish();
     println!(
         "production run: {} violation(s)",
         prod_vm.violation_log().len()
@@ -38,17 +47,17 @@ fn main() -> Result<(), gc_assertions::VmError> {
         println!("  (no path recorded) {}", v.summary());
     }
 
-    // Ship the compact log home.
-    let wire = encode(&log);
+    // Ship the recording home.
+    std::fs::write(&path, &script)?;
     println!(
-        "\nevent log: {} events, {} bytes on the wire",
-        log.len(),
-        wire.len()
+        "\nrecorded script: {} lines, {} bytes, written to {}",
+        script.lines().count(),
+        script.len(),
+        path.display()
     );
 
     // --- lab: identical history, full forensics -----------------------
-    let events = decode(&wire).expect("wire format intact");
-    let lab_vm = replay(&events, VmConfig::builder().path_tracking(true).build())?;
+    let lab_vm = replay(&script, VmConfig::builder().path_tracking(true).build())?;
     println!(
         "\nlab replay: {} violation(s), now with paths:",
         lab_vm.violation_log().len()

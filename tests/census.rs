@@ -117,10 +117,8 @@ fn census_does_not_perturb_any_engine() {
     }
 }
 
-/// A minor collection on a non-generational heap leaves its survivors
-/// marked, so the next major's mark never claims them again. The census
-/// is taken from the live heap after the sweep, so it still counts them,
-/// on every engine.
+/// A minor collection on a non-generational heap is a no-op, and the
+/// next major's census counts every live object on every engine.
 #[test]
 fn census_after_minor_counts_every_live_object() {
     let engines: Vec<(&str, VmConfigBuilder)> = vec![
